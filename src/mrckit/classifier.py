@@ -9,6 +9,7 @@ the learning stage itself; no holdout is involved.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -45,17 +46,11 @@ class MrcModel:
     raw_bounds: dict = field(default_factory=dict)
     solver_info: dict = field(default_factory=dict)
     training_trace: list | None = None   # (iter, sec, best, gamma); not serialized
+    learning_rows: int | None = None     # None if matrix-free; not serialized
 
     @property
     def num_classes(self):
         return self.feature_spec.num_classes
-
-
-def _normalize_instances(model, X):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if model.normalization is None:
-        return X
-    return (X - model.normalization.mean) / model.normalization.std
 
 
 def _clamp(value):
@@ -76,11 +71,30 @@ def train(data, spec=None, *, lambda_mode="practical", lambda0=0.3, delta=0.05,
     """
     if solver_config is None:
         solver_config = SolverConfig()
-    if repair not in ("auto", "always", "never"):
-        raise ValueError(f"unknown repair policy {repair!r}")
-    if variant not in ("standard", "fixed_marginal"):
-        raise ValueError(f"unknown variant {variant!r}")
+    stats, X, spec, unc = estimate_uncertainty(
+        data, spec, lambda_mode=lambda_mode, lambda0=lambda0, delta=delta,
+        rademacher_R=rademacher_R, normalize=normalize)
+    if anchor is None:
+        anchor_X = X
+    else:
+        anchor_X = np.atleast_2d(np.asarray(anchor, dtype=float))
+        if stats is not None:
+            anchor_X = (anchor_X - stats.mean) / stats.std
+    return fit(unc, anchor_X, spec, solver_config, variant=variant,
+               repair=repair, compute_lower=compute_lower,
+               normalization=stats, label_names=data.label_names)
 
+
+def estimate_uncertainty(data, spec=None, *, lambda_mode="practical",
+                         lambda0=0.3, delta=0.05, rademacher_R=None,
+                         normalize=True):
+    """Estimation step of training: normalize, then estimate tau and lambda.
+
+    Returns (normalization stats or None, normalized instances, feature
+    spec, uncertainty set). An identity spec without a feature bound comes
+    back as a copy that records the bound C; the caller's spec is not
+    changed.
+    """
     stats = None
     X = data.instances
     if normalize:
@@ -102,7 +116,7 @@ def train(data, spec=None, *, lambda_mode="practical", lambda0=0.3, delta=0.05,
         psi, y, spec.num_classes, want_variance=want_var and n >= 2)
     C = features.feature_bound(spec, X)
     if spec.kind == features.KIND_IDENTITY and spec.feature_bound is None:
-        spec.feature_bound = C
+        spec = dataclasses.replace(spec, feature_bound=C)
     family_size = features.block_dim(spec)
 
     if lambda_mode == "hoeffding":
@@ -127,28 +141,69 @@ def train(data, spec=None, *, lambda_mode="practical", lambda0=0.3, delta=0.05,
         "rademacher_R": rademacher_R, "C": C, "family_size": family_size,
         "n": n,
     }
-    unc = estimate.UncertaintySet(tau, lam, provenance)
+    return stats, X, spec, estimate.UncertaintySet(tau, lam, provenance)
 
-    if anchor is None:
-        anchor_X = X
-    else:
-        anchor_X = np.atleast_2d(np.asarray(anchor, dtype=float))
-        if stats is not None:
-            anchor_X = (anchor_X - stats.mean) / stats.std
 
+def fit(uncertainty, anchor, spec, solver_config, *, variant="standard",
+        repair="auto", compute_lower=True, normalization=None, label_names=()):
+    """Training core over a fixed uncertainty set and a normalized anchor pool.
+
+    Minimizes the learning objective, repairing the set as `repair` says
+    (see train), reads the randomized rule off the solution and, for the
+    standard variant, solves the companion problem that certifies the lower
+    bound on its error probability.
+    """
+    if repair not in ("auto", "always", "never"):
+        raise ValueError(f"unknown repair policy {repair!r}")
+    if variant not in ("standard", "fixed_marginal"):
+        raise ValueError(f"unknown variant {variant!r}")
+    unc, run, rows, notices = _solve_learning(
+        uncertainty, anchor, spec, solver_config, variant, repair)
+    model = MrcModel(
+        mu_star=run.best_mu, phi_star=objective.phi(run.best_mu, anchor, spec),
+        minimax_risk=_clamp(run.best_value), lower_bound=None,
+        uncertainty=unc, feature_spec=spec, normalization=normalization,
+        instance_anchor=anchor, label_names=label_names, variant=variant,
+        raw_bounds={"upper": run.best_value},
+        solver_info={
+            "method": run.method,
+            "status": run.status,
+            "iterations": run.iterations_done,
+            "upper_certificate": run.certificate,
+            "notices": notices,
+        },
+        training_trace=run.trace, learning_rows=rows,
+    )
+    if compute_lower and variant == "standard":
+        h = randomized_rule_matrix(model, anchor)
+        low_problem = objective.build_lower_bound_problem(unc, anchor, spec, h)
+        low_run = solve(low_problem, solver_config)
+        model.raw_bounds["lower"] = low_problem.reported_value(low_run.best_value)
+        model.lower_bound = _clamp(model.raw_bounds["lower"])
+        model.mu_lower = low_run.best_mu
+        model.solver_info["lower_certificate"] = low_run.certificate
+    return model
+
+
+def _solve_learning(unc, anchor, spec, solver_config, variant, repair):
+    """Build and minimize the learning objective, repairing per `repair`.
+
+    Returns (uncertainty set used, run, rows of the learning problem or
+    None when it is matrix-free, notices).
+    """
     notices = []
     if repair == "always":
-        unc, changed = _repair(unc, anchor_X, spec)
+        unc, changed = _repair(unc, anchor, spec)
         if changed:
             notices.append("uncertainty set repaired up front")
             log.info("feasibility repair adjusted the uncertainty set")
 
     def build(u):
         if variant == "fixed_marginal":
-            return objective.build_fixed_marginal_problem(u, anchor_X, spec)
+            return objective.build_fixed_marginal_problem(u, anchor, spec)
         if spec.num_classes > objective.SUBSET_ENUMERATION_CAP:
-            return objective.build_learning_objective_topk(u, anchor_X, spec)
-        return objective.build_learning_problem(u, anchor_X, spec)
+            return objective.build_learning_objective_topk(u, anchor, spec)
+        return objective.build_learning_problem(u, anchor, spec)
 
     problem = build(unc)
     try:
@@ -158,44 +213,12 @@ def train(data, spec=None, *, lambda_mode="practical", lambda0=0.3, delta=0.05,
             raise
         log.warning("learning solve failed (%s); repairing the uncertainty set", exc)
         notices.append(f"repaired after: {exc}")
-        unc, _ = _repair(unc, anchor_X, spec)
+        unc, _ = _repair(unc, anchor, spec)
         problem = build(unc)
         run = solve(problem, solver_config)
-
-    mu_star = run.best_mu
-    phi_star = objective.phi(mu_star, anchor_X, spec)
-    upper_raw = run.best_value
-    solver_info = {
-        "method": run.method,
-        "status": run.status,
-        "iterations": run.iterations_done,
-        "upper_certificate": run.certificate,
-        "notices": notices,
-    }
-    raw_bounds = {"upper": upper_raw}
-
-    lower = None
-    mu_lower = None
-    if compute_lower and variant == "standard":
-        h_rule = _rule_matrix_from_scores(
-            features.score_matrix(spec, anchor_X, mu_star), phi_star,
-            spec.num_classes)
-        low_problem = objective.build_lower_bound_problem(unc, anchor_X, spec, h_rule)
-        low_run = solve(low_problem, solver_config)
-        lower_raw = low_problem.reported_value(low_run.best_value)
-        raw_bounds["lower"] = lower_raw
-        lower = _clamp(lower_raw)
-        mu_lower = low_run.best_mu
-        solver_info["lower_certificate"] = low_run.certificate
-
-    return MrcModel(
-        mu_star=mu_star, phi_star=phi_star,
-        minimax_risk=_clamp(upper_raw), lower_bound=lower,
-        uncertainty=unc, feature_spec=spec, normalization=stats,
-        instance_anchor=anchor_X, label_names=data.label_names,
-        variant=variant, mu_lower=mu_lower, raw_bounds=raw_bounds,
-        solver_info=solver_info, training_trace=run.trace,
-    )
+    rows = problem.num_rows if isinstance(
+        problem, objective.PiecewiseLinearProblem) else None
+    return unc, run, rows, notices
 
 
 def _repair(unc, anchor_X, spec):
@@ -215,32 +238,27 @@ def _rule_matrix_from_scores(scores, phi_star, num_classes):
     return h
 
 
-def predict_proba(model, X):
-    """Label distribution of the randomized rule at each instance.
+def batch_scores(model, X):
+    """Per-label scores Phi(x, y)^T mu* of raw instances; shape (n, classes)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if model.normalization is not None:
+        X = (X - model.normalization.mean) / model.normalization.std
+    return features.score_matrix(model.feature_spec, X, model.mu_star)
 
-    Rows sum to 1; if every score falls below the support-function value the
-    rule backs off to uniform.
+
+def rule_from_scores(model, scores):
+    """Both rules of the model read off per-label scores.
+
+    Returns (labels, h): the deterministic rule's labels in 1..K (the largest
+    score, ties to the smallest label) and the randomized rule h(y|x). The
+    standard variant thresholds the scores at phi* and backs off to uniform
+    where every score falls below it; the fixed-marginal variant thresholds
+    each instance at its own support-function value.
     """
-    if model.variant == "fixed_marginal":
-        return fixed_marginal_proba(model, X)
-    Xn = _normalize_instances(model, X)
-    scores = features.score_matrix(model.feature_spec, Xn, model.mu_star)
-    return _rule_matrix_from_scores(scores, model.phi_star, model.num_classes)
-
-
-def rule_normalizer(model, X):
-    """The per-instance normalization constant of the randomized rule."""
-    Xn = _normalize_instances(model, X)
-    scores = features.score_matrix(model.feature_spec, Xn, model.mu_star)
-    return np.maximum(scores - model.phi_star, 0.0).sum(axis=1)
-
-
-def fixed_marginal_proba(model, X):
-    """Rule of the fixed-instance-marginal variant (per-instance support value)."""
+    labels = np.argmax(scores, axis=1) + 1
     if model.variant != "fixed_marginal":
-        raise ValueError("model was not trained with the fixed_marginal variant")
-    Xn = _normalize_instances(model, X)
-    scores = features.score_matrix(model.feature_spec, Xn, model.mu_star)
+        return labels, _rule_matrix_from_scores(scores, model.phi_star,
+                                                model.num_classes)
     phi_x = objective.phi_per_instance(scores)
     h = np.maximum(scores - phi_x[:, None], 0.0)
     sums = h.sum(axis=1)
@@ -249,24 +267,43 @@ def fixed_marginal_proba(model, X):
         log.warning("renormalizing %d rule rows that summed off 1 by >1e-9",
                     int(off.sum()))
         h[off] /= sums[off, None]
-    return h
+    return labels, h
+
+
+def predict_proba(model, X):
+    """Label distribution of the randomized rule at each instance.
+
+    Rows sum to 1; if every score falls below the support-function value the
+    rule backs off to uniform.
+    """
+    return rule_from_scores(model, batch_scores(model, X))[1]
+
+
+def rule_normalizer(model, X):
+    """The per-instance normalization constant of the randomized rule."""
+    return np.maximum(batch_scores(model, X) - model.phi_star, 0.0).sum(axis=1)
+
+
+def fixed_marginal_proba(model, X):
+    """Rule of the fixed-instance-marginal variant (per-instance support value)."""
+    if model.variant != "fixed_marginal":
+        raise ValueError("model was not trained with the fixed_marginal variant")
+    return predict_proba(model, X)
 
 
 def predict(model, X):
     """Deterministic rule: the label with the largest score (ties to smallest)."""
-    Xn = _normalize_instances(model, X)
-    scores = features.score_matrix(model.feature_spec, Xn, model.mu_star)
-    return np.argmax(scores, axis=1) + 1
+    return rule_from_scores(model, batch_scores(model, X))[0]
 
 
 def evaluate(model, test):
     """Randomized risk and deterministic error on a held-out Dataset."""
     if test.n == 0:
         raise ValueError("evaluate needs a nonempty dataset")
-    h = predict_proba(model, test.instances)
+    labels, h = rule_from_scores(model, batch_scores(model, test.instances))
     rows = np.arange(test.n)
     randomized = float(np.mean(1.0 - h[rows, test.labels - 1]))
-    deterministic = float(np.mean(predict(model, test.instances) != test.labels))
+    deterministic = float(np.mean(labels != test.labels))
     return {"randomized_risk": randomized, "deterministic_error": deterministic}
 
 
@@ -308,18 +345,14 @@ def deterministic_rule_matrix(model, instances_normalized):
     """One-hot matrix of the deterministic rule over normalized instances."""
     scores = features.score_matrix(model.feature_spec, instances_normalized,
                                    model.mu_star)
-    h = np.zeros_like(scores)
-    h[np.arange(scores.shape[0]), np.argmax(scores, axis=1)] = 1.0
-    return h
+    return np.eye(model.num_classes)[rule_from_scores(model, scores)[0] - 1]
 
 
 def randomized_rule_matrix(model, instances_normalized):
+    """Randomized rule h(y|x) over normalized instances."""
     scores = features.score_matrix(model.feature_spec, instances_normalized,
                                    model.mu_star)
-    if model.variant == "fixed_marginal":
-        phi_x = objective.phi_per_instance(scores)
-        return np.maximum(scores - phi_x[:, None], 0.0)
-    return _rule_matrix_from_scores(scores, model.phi_star, model.num_classes)
+    return rule_from_scores(model, scores)[1]
 
 
 @dataclass

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classifier, estimate, features, objective
-from .dataset import (DataError, load_csv, stratified_folds, stratified_split)
+from .dataset import (DataError, load_csv, load_features, stratified_folds,
+                      stratified_split)
 from .simplex import SimplexError
 from .solver import SolverConfig, SolverError, solve
 
@@ -204,8 +205,6 @@ def cmd_train(args):
 
     trace_path = out_dir / "trace.csv"
     _write_trace_csv(trace_path, model.training_trace)
-    masks = 2 ** data.num_classes - 1
-    anchor_rows = model.instance_anchor.shape[0]
     report = _report_base(args)
     report.update({
         "model_path": str(model_path),
@@ -214,7 +213,7 @@ def cmd_train(args):
         "raw_bounds": model.raw_bounds,
         "n": data.n,
         "m": model.mu_star.size,
-        "p": anchor_rows * masks,
+        "p": model.learning_rows,
         "solver": model.solver_info,
         "trace_path": str(trace_path),
     })
@@ -229,54 +228,23 @@ def cmd_predict(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = classifier.load_model(args.model)
-    data = _load_feature_rows(args.data, args.has_header, model)
-    labels = classifier.predict(model, data)
-    proba = classifier.predict_proba(model, data) if args.proba else None
+    X = load_features(args.data, model.feature_spec.d, args.has_header)
+    labels, proba = classifier.rule_from_scores(
+        model, classifier.batch_scores(model, X))
     out_path = out_dir / "predictions.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         head = ["label"]
-        if proba is not None:
+        if args.proba:
             head += [f"p_{name}" for name in model.label_names]
         writer.writerow(head)
         for i, lab in enumerate(labels):
             row = [model.label_names[lab - 1]]
-            if proba is not None:
+            if args.proba:
                 row += [repr(float(v)) for v in proba[i]]
             writer.writerow(row)
     print(f"wrote {out_path}")
     return EXIT_OK
-
-
-def _load_feature_rows(path, has_header, model):
-    """Feature matrix from a CSV that may or may not carry a label column."""
-    d = model.feature_spec.d
-    try:
-        ds = load_csv(path, has_header=has_header)
-        if ds.d == d:
-            return ds.instances
-    except DataError:
-        pass
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for line_num, row in enumerate(reader, start=1):
-            if has_header and line_num == 1:
-                continue
-            if not row:
-                continue
-            if len(row) == d:
-                rows.append([float(v) for v in row])
-            elif len(row) == d + 1:
-                rows.append([float(v) for v in row[:-1]])
-            else:
-                raise DataError(
-                    f"{path}: row {line_num} has {len(row)} columns; model "
-                    f"expects {d} features"
-                )
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return np.array(rows)
 
 
 def cmd_bounds(args):
@@ -393,19 +361,11 @@ def cmd_reduce_study(args):
             rng = np.random.default_rng(child_seed(args.seed, counter))
             idx = rng.choice(pool_n, size=s, replace=False) if s < pool_n \
                 else np.arange(pool_n)
-            anchor = model_full.instance_anchor[idx]
-            tau_s, lam_s = estimate.ensure_feasible(unc.tau, unc.lam, anchor, spec)
-            unc_s = estimate.UncertaintySet(tau_s, lam_s)
-            problem = objective.build_learning_problem(unc_s, anchor, spec)
-            run = solve(problem, cfg)
-            phi_s = objective.phi(run.best_mu, anchor, spec)
-            scores = features.score_matrix(spec, anchor, run.best_mu)
-            h = classifier._rule_matrix_from_scores(scores, phi_s, data.num_classes)
-            low = objective.build_lower_bound_problem(unc_s, anchor, spec, h)
-            low_run = solve(low, cfg)
-            lower_s = low.reported_value(low_run.best_value)
-            rows.append([s, rep, run.best_value, lower_s,
-                         abs(run.best_value - upper_full), eps])
+            model = classifier.fit(unc, model_full.instance_anchor[idx], spec,
+                                   cfg, repair="always")
+            upper_s = model.raw_bounds["upper"]
+            rows.append([s, rep, upper_s, model.raw_bounds["lower"],
+                         abs(upper_s - upper_full), eps])
     table_path = out_dir / "reduce_study.csv"
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -423,17 +383,12 @@ def cmd_bench_solvers(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = load_csv(args.data, has_header=args.has_header)
-    spec = _spec_from_args(args, data)
-    pre_cfg = _solver_config_from_args(args)
-    model_stub = classifier.train(
-        data, spec, lambda_mode=args.lambda_mode, lambda0=args.lambda0,
-        delta=args.delta,
-        solver_config=SolverConfig(method="bsm", max_iters=1),
-        compute_lower=False)
-    problem = objective.build_learning_problem(
-        model_stub.uncertainty, model_stub.instance_anchor, model_stub.feature_spec)
+    _, X, spec, unc = classifier.estimate_uncertainty(
+        data, _spec_from_args(args, data), lambda_mode=args.lambda_mode,
+        lambda0=args.lambda0, delta=args.delta, rademacher_R=args.rademacher_R)
+    problem = objective.build_learning_problem(unc, X, spec)
 
-    methods = ["bsm", "ebsm", "asm", "easm", "easm_restart"]
+    methods = ["bsm", "asm", "easm", "easm_restart"]
     summary = {"methods": {}, "p": problem.num_rows, "m": problem.dimension}
     for name in methods:
         cfg = _solver_config_from_args(args, method=name, record_trace=True,
@@ -450,9 +405,9 @@ def cmd_bench_solvers(args):
             "gamma": run.sparsity_gamma,
             "trace": str(trace_path),
         }
-    if (problem.num_rows <= pre_cfg.lp_max_rows
-            and problem.dimension <= pre_cfg.lp_max_cols):
-        lp_run = solve(problem, SolverConfig(method="lp"))
+    lp = SolverConfig(method="lp")
+    if problem.num_rows <= lp.lp_max_rows and problem.dimension <= lp.lp_max_cols:
+        lp_run = solve(problem, lp)
         summary["lp_optimum"] = lp_run.best_value
         for name in methods:
             summary["methods"][name]["gap_to_lp"] = (

@@ -49,6 +49,37 @@ class NormalizationStats:
     std: np.ndarray  # strictly positive; constant columns forced to 1
 
 
+def _csv_rows(path, has_header):
+    """(line number, cells) of every non-blank data row of a CSV file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for line_num, row in enumerate(csv.reader(fh), start=1):
+            if has_header and line_num == 1:
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # blank line
+            yield line_num, row
+
+
+def _parse_features(path, line_num, cells):
+    """Feature cells of one row as finite reals."""
+    vals = np.empty(len(cells))
+    for j, cell in enumerate(cells):
+        try:
+            v = float(cell)
+        except ValueError:
+            raise DataError(
+                f"{path}: row {line_num}, column {j + 1}: "
+                f"cannot parse {cell.strip()!r} as a real number"
+            ) from None
+        if not math.isfinite(v):
+            raise DataError(
+                f"{path}: row {line_num}, column {j + 1}: "
+                f"non-finite value {cell.strip()!r}"
+            )
+        vals[j] = v
+    return vals
+
+
 def load_csv(path, has_header=False):
     """Load a CSV file into a Dataset.
 
@@ -57,42 +88,21 @@ def load_csv(path, has_header=False):
     """
     rows = []
     labels_raw = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        width = None
-        for line_num, row in enumerate(reader, start=1):
-            if has_header and line_num == 1:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # blank line
-            if width is None:
-                width = len(row)
-                if width < 2:
-                    raise DataError(
-                        f"{path}: row {line_num} has {width} columns; "
-                        "need at least one feature column plus the label"
-                    )
-            elif len(row) != width:
+    width = None
+    for line_num, row in _csv_rows(path, has_header):
+        if width is None:
+            width = len(row)
+            if width < 2:
                 raise DataError(
-                    f"{path}: row {line_num} has {len(row)} columns, expected {width}"
+                    f"{path}: row {line_num} has {width} columns; "
+                    "need at least one feature column plus the label"
                 )
-            vals = np.empty(width - 1)
-            for j, cell in enumerate(row[:-1]):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {line_num}, column {j + 1}: "
-                        f"cannot parse {cell.strip()!r} as a real number"
-                    ) from None
-                if not math.isfinite(v):
-                    raise DataError(
-                        f"{path}: row {line_num}, column {j + 1}: "
-                        f"non-finite value {cell.strip()!r}"
-                    )
-                vals[j] = v
-            rows.append(vals)
-            labels_raw.append(row[-1].strip())
+        elif len(row) != width:
+            raise DataError(
+                f"{path}: row {line_num} has {len(row)} columns, expected {width}"
+            )
+        rows.append(_parse_features(path, line_num, row[:-1]))
+        labels_raw.append(row[-1].strip())
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -108,6 +118,25 @@ def load_csv(path, has_header=False):
         raise DataError(f"{path}: found {len(names)} distinct label(s); need at least 2")
 
     return Dataset(np.vstack(rows), encoded, tuple(names))
+
+
+def load_features(path, d, has_header=False):
+    """Load the (n, d) feature matrix of a CSV file for prediction.
+
+    Rows hold d feature columns, optionally followed by a label column that
+    is ignored. Cells are parsed and checked as in load_csv.
+    """
+    rows = []
+    for line_num, row in _csv_rows(path, has_header):
+        if len(row) not in (d, d + 1):
+            raise DataError(
+                f"{path}: row {line_num} has {len(row)} columns; model "
+                f"expects {d} features"
+            )
+        rows.append(_parse_features(path, line_num, row[:d]))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return np.vstack(rows)
 
 
 def save_csv(dataset, path, header=None):

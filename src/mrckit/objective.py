@@ -37,7 +37,6 @@ class PiecewiseLinearProblem:
     b: np.ndarray
     constant: float = 0.0
     negate_reported: bool = False  # set when min f encodes sup of the negation
-    row_index: list | None = None  # per row: (instance index, subset mask or label)
 
     def __post_init__(self):
         self.a = np.ascontiguousarray(self.a, dtype=float)
@@ -52,10 +51,6 @@ class PiecewiseLinearProblem:
     @property
     def num_rows(self):
         return self.F.shape[0]
-
-    @property
-    def constant_term(self):
-        return self.constant
 
     def evaluate(self, mu):
         """Objective value (constant excluded) and the argmax row index."""
@@ -150,22 +145,18 @@ def build_learning_problem(uncertainty, instances, spec):
     masks = subset_masks(K)
     F = np.zeros((s, len(masks), m))
     b = np.empty((s, len(masks)))
-    row_index = []
     for mi, mask in enumerate(masks):
         members = [c for c in range(K) if mask >> c & 1]
         size = len(members)
         for c in members:
             F[:, mi, c * B:(c + 1) * B] = psi / size
         b[:, mi] = -1.0 / size
-    for i in range(s):
-        row_index.extend((i, mask) for mask in masks)
     return PiecewiseLinearProblem(
         a=-uncertainty.tau,
         lam=uncertainty.lam.copy(),
         F=F.reshape(s * len(masks), m),
         b=b.reshape(-1),
         constant=1.0,
-        row_index=row_index,
     )
 
 
@@ -200,7 +191,6 @@ def build_upper_bound_problem(uncertainty, instances, spec, h):
         F=_label_rows(psi, K),
         b=-h.reshape(-1),
         constant=1.0,
-        row_index=[(i, y + 1) for i in range(s) for y in range(K)],
     )
 
 
@@ -222,7 +212,6 @@ def build_lower_bound_problem(uncertainty, instances, spec, h):
         b=h.reshape(-1),
         constant=-1.0,
         negate_reported=True,
-        row_index=[(i, y + 1) for i in range(s) for y in range(K)],
     )
 
 
@@ -230,7 +219,6 @@ class _ScoreObjective:
     """Shared machinery for the matrix-free objectives."""
 
     constant = 1.0
-    negate_reported = False
 
     def __init__(self, uncertainty, instances, spec):
         X = np.atleast_2d(np.asarray(instances, dtype=float))
@@ -247,13 +235,6 @@ class _ScoreObjective:
     @property
     def dimension(self):
         return self.tau.size
-
-    @property
-    def constant_term(self):
-        return self.constant
-
-    def reported_value(self, minimized_value):
-        return minimized_value
 
     def _scores(self, mu):
         return self.psi @ mu.reshape(self.spec.num_classes, -1).T

@@ -8,7 +8,6 @@ Methods:
   easm          the same iterates, maintaining F mu + b through rank-one
                 recursions on the precomputed F a, F F^T and 2 F diag(lam)
   easm_restart  easm in segments, each restarted from the incumbent
-  ebsm          bsm with the same structure exploitation (benchmark use)
   lp            exact reformulation solved by the in-house simplex
 
 Iterates of asm and easm are identical by construction; easm only trades
@@ -53,7 +52,6 @@ class SolverConfig:
     divergence_floor: float = -1e9
     no_improve: tuple | None = None    # (epsilon, window) early stop, off by default
     resync_every: int = 0              # recompute easm state exactly every N iters
-    restart_step_decay: float = 1.0    # per-segment step-scale factor; <1 refines locally
     lp_max_rows: int = 2000
     lp_max_cols: int = 500
     easm_budget_bytes: int = 2 << 30   # refuse G = F F^T beyond this
@@ -71,9 +69,6 @@ class SolverRun:
     iterates: np.ndarray | None = None
     sparsity_gamma: float | None = None
     timings: dict = field(default_factory=dict)
-
-    def reported_value(self, problem):
-        return problem.reported_value(self.best_value)
 
 
 def subgradient(problem, mu):
@@ -95,8 +90,6 @@ def solve(problem, config):
         return solve_easm(problem, config)
     if method == "easm_restart":
         return solve_easm_restart(problem, config)
-    if method == "ebsm":
-        return solve_ebsm(problem, config)
     if method == "lp":
         return solve_lp(problem, config)
     raise SolverError(f"unknown solver method {config.method!r}")
@@ -180,7 +173,7 @@ def _maybe_early_stop(config, history, best):
 def solve_bsm(problem, config):
     """Basic subgradient method with the normalized 1/sqrt(k+1) step."""
     mu = _start_point(problem, config)
-    constant = problem.constant_term
+    constant = problem.constant
     floor = config.divergence_floor
     raw, token = problem.evaluate(mu)
     _check_value(raw, constant, floor)
@@ -241,7 +234,7 @@ def _schedule_arrays(K):
 def solve_asm(problem, config):
     """Accelerated subgradient method (extrapolated iterates, best tracking)."""
     mu = _start_point(problem, config)
-    constant = problem.constant_term
+    constant = problem.constant
     floor = config.divergence_floor
     K = config.max_iters
     c, eta = _schedule_arrays(K + 1)
@@ -305,19 +298,15 @@ def _easm_precompute(problem):
     return alpha, G, H
 
 
-def _structured_core(problem, config, mu0, max_iters, accelerated, precomp,
-                     iter_offset=0, time_offset=0.0, incumbent=None,
-                     step_scale=1.0):
-    """Shared easm/ebsm loop; returns (state for merging, partial run)."""
+def _structured_core(problem, config, mu0, max_iters, precomp,
+                     iter_offset=0, time_offset=0.0, incumbent=None):
+    """The easm loop over one segment of max_iters iterations."""
     a, b, lam, F = problem.a, problem.b, problem.lam, problem.F
-    constant = problem.constant_term
+    constant = problem.constant
     floor = config.divergence_floor
     alpha, G, H = precomp
     K = max_iters
-    if accelerated:
-        c, eta = _schedule_arrays(K + 1)
-        if step_scale != 1.0:
-            c = c * step_scale
+    c, eta = _schedule_arrays(K + 1)
 
     mu = mu0.copy()
     y = mu.copy()
@@ -341,15 +330,7 @@ def _structured_core(problem, config, mu0, max_iters, accelerated, precomp,
     k = 0
     for k in range(1, K + 1):
         g = a + lam * s + F[i]
-        if accelerated:
-            ck, ek = c[k - 1], eta[k - 1]
-        else:
-            gnorm = math.sqrt(float(g @ g))
-            if gnorm == 0.0:
-                status = "stationary"
-                rec.step(k, constant + best_raw, 0)
-                break
-            ck, ek = 1.0 / (math.sqrt(k + 1.0) * gnorm), 0.0
+        ck, ek = c[k - 1], eta[k - 1]
         y_next = mu - ck * g
         mu_next = (1.0 + ek) * y_next - ek * y
         u = alpha + d + G[i]
@@ -380,14 +361,13 @@ def _structured_core(problem, config, mu0, max_iters, accelerated, precomp,
         if _maybe_early_stop(config, history, best_raw):
             status = "early_stop"
             break
-    run = SolverRun(
+    return SolverRun(
         best_mu=best_mu, best_value=constant + best_raw, iterations_done=k,
-        method="easm" if accelerated else "ebsm", status=status,
+        method="easm", status=status,
         trace=rec.trace, iterates=_stack(rec.iterates),
         sparsity_gamma=rec.gamma(),
         timings={"loop_seconds": rec.loop_seconds(), "iterations": k},
     )
-    return run, rec
 
 
 def solve_easm(problem, config):
@@ -396,20 +376,8 @@ def solve_easm(problem, config):
     t0 = time.perf_counter()
     precomp = _easm_precompute(problem)
     pre_seconds = time.perf_counter() - t0
-    run, _ = _structured_core(problem, config, _start_point(problem, config),
-                              config.max_iters, True, precomp)
-    run.timings["precompute_seconds"] = pre_seconds
-    return run
-
-
-def solve_ebsm(problem, config):
-    """Structured basic method (benchmark counterpart of solve_bsm)."""
-    _require_materialized(problem, config)
-    t0 = time.perf_counter()
-    precomp = _easm_precompute(problem)
-    pre_seconds = time.perf_counter() - t0
-    run, _ = _structured_core(problem, config, _start_point(problem, config),
-                              config.max_iters, False, precomp)
+    run = _structured_core(problem, config, _start_point(problem, config),
+                           config.max_iters, precomp)
     run.timings["precompute_seconds"] = pre_seconds
     return run
 
@@ -419,14 +387,10 @@ def solve_easm_restart(problem, config):
 
     Each segment resets the extrapolation schedule (k back to 1) and starts
     at the best point found so far; the incumbent is kept across segments.
-    A restart_step_decay below 1 additionally shrinks each segment's step
-    scale geometrically, trading exploration for local refinement.
     """
     _require_materialized(problem, config)
     if config.restart_period < 1:
         raise SolverError("restart_period must be at least 1")
-    if not 0.0 < config.restart_step_decay <= 1.0:
-        raise SolverError("restart_step_decay must lie in (0, 1]")
     t0 = time.perf_counter()
     precomp = _easm_precompute(problem)
     pre_seconds = time.perf_counter() - t0
@@ -441,15 +405,12 @@ def solve_easm_restart(problem, config):
     iterates = [] if config.record_iterates else None
     changed_frac = 0.0
     status = "max_iters"
-    step_scale = 1.0
     while remaining > 0:
         seg = min(config.restart_period, remaining)
         incumbent = None if best_mu is None else (best_value, best_mu)
-        run, rec = _structured_core(problem, config, mu_start, seg, True,
-                                    precomp, iter_offset=done,
-                                    time_offset=loop_seconds,
-                                    incumbent=incumbent,
-                                    step_scale=step_scale)
+        run = _structured_core(problem, config, mu_start, seg, precomp,
+                               iter_offset=done, time_offset=loop_seconds,
+                               incumbent=incumbent)
         if run.best_value < best_value:
             best_value = run.best_value
             best_mu = run.best_mu
@@ -462,8 +423,7 @@ def solve_easm_restart(problem, config):
         if iterates is not None and run.iterates is not None:
             iterates.append(run.iterates)
         mu_start = best_mu
-        step_scale *= config.restart_step_decay
-        if run.status in ("early_stop", "stationary"):
+        if run.status == "early_stop":
             status = run.status
             break
     return SolverRun(
@@ -519,7 +479,7 @@ def solve_lp(problem, config):
         raise SolverError(f"LP solve ended with status {result.status!r}")
     mu = result.x[:m] - result.x[m:2 * m]
     return SolverRun(
-        best_mu=mu, best_value=problem.constant_term + result.value,
+        best_mu=mu, best_value=problem.constant + result.value,
         iterations_done=result.pivots, method="lp", status="optimal",
         certificate="lp",
         timings={"loop_seconds": time.perf_counter() - t0,

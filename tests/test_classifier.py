@@ -42,6 +42,14 @@ def test_train_small_binary_lp():
     assert model.phi_star is not None
 
 
+def test_train_leaves_caller_spec_unchanged():
+    ds = make_blobs(30, d=2, seed=0)
+    spec = features.identity_spec(2, 2)
+    model = train(ds, spec, solver_config=LP)
+    assert spec.feature_bound is None
+    assert model.feature_spec.feature_bound == model.uncertainty.provenance["C"]
+
+
 def test_huge_lambda_forces_uniform():
     ds = make_blobs(40, d=2, seed=1)
     spec = features.identity_spec(2, 2)

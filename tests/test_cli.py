@@ -51,6 +51,17 @@ def test_train_writes_model_and_report(blob_csv, tmp_path):
     assert header == "iteration,elapsed_seconds,best_value,gamma_running"
 
 
+def test_train_report_p_null_for_fixed_marginal(blob_csv, tmp_path):
+    out = tmp_path / "fm"
+    code = run_cli("train", "--data", blob_csv, "--out", str(out),
+                   "--features", "identity", "--solver", "asm",
+                   "--max-iters", "200", "--variant", "fixed-marginal",
+                   "--seed", "1")
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["p"] is None  # matrix-free objective: no rows built
+
+
 def test_train_deterministic_model_bytes(blob_csv, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     run_cli(*train_args(blob_csv, out1))
@@ -72,6 +83,40 @@ def test_predict_command(blob_csv, tmp_path):
     assert rows[0] == ["label", "p_1", "p_2"]
     assert len(rows) == 61
     assert rows[1][0] in ("1", "2")
+
+
+def test_predict_rejects_non_finite_values(blob_csv, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    run_cli(*train_args(blob_csv, out))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0.5,1.0\n1.5,nan\n")
+    code = run_cli("predict", "--model", os.path.join(out, "model.json"),
+                   "--data", str(bad), "--out", str(tmp_path / "pred"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "row 2, column 2" in err and "non-finite" in err
+
+
+def test_predict_same_output_with_or_without_labels(blob_csv, tmp_path):
+    out = str(tmp_path / "out")
+    run_cli(*train_args(blob_csv, out))
+    X = make_blobs(20, d=2, seed=9).instances
+    cells = [",".join(repr(float(v)) for v in row) for row in X]
+    forms = {
+        "features": cells,
+        "labelled": [c + ("," + "ab"[i % 2]) for i, c in enumerate(cells)],
+        "single_label": [c + ",a" for c in cells],
+    }
+    written = set()
+    for name, lines in forms.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        pred = tmp_path / f"pred_{name}"
+        code = run_cli("predict", "--model", os.path.join(out, "model.json"),
+                       "--data", str(path), "--proba", "--out", str(pred))
+        assert code == 0
+        written.add((pred / "predictions.csv").read_bytes())
+    assert len(written) == 1
 
 
 def test_bounds_command(blob_csv, tmp_path):
@@ -152,7 +197,7 @@ def test_bench_solvers(blob_csv, tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "bench" / "bench.json").read_text())
     methods = rep["methods"]
-    assert set(methods) == {"bsm", "ebsm", "asm", "easm", "easm_restart"}
+    assert set(methods) == {"bsm", "asm", "easm", "easm_restart"}
     starts = {methods[name]["initial_value"] for name in methods}
     assert len(starts) == 1  # identical f(mu_1) across methods
     assert "lp_optimum" in rep

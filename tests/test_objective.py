@@ -77,9 +77,13 @@ def test_phi_lower_bounds():
 def test_learning_problem_shape_and_rows():
     problem, unc, X, y, spec = random_learning_problem(seed=0, n=2, num_classes=2)
     assert problem.num_rows == 2 * (2 ** 2 - 1)
-    # rows ordered instance-major, masks ascending
-    assert problem.row_index[:3] == [(0, 1), (0, 2), (0, 3)]
-    assert problem.row_index[3:] == [(1, 1), (1, 2), (1, 3)]
+    # rows ordered instance-major, masks ascending: {1}, {2}, {1, 2}
+    psi = features.scalar_feature_matrix(spec, X)
+    zero = np.zeros_like(psi[0])
+    rows = [np.concatenate(blocks) for i in range(2)
+            for blocks in ((psi[i], zero), (zero, psi[i]), (psi[i] / 2, psi[i] / 2))]
+    assert np.array_equal(problem.F, np.array(rows))
+    assert np.array_equal(problem.b, [-1.0, -1.0, -0.5, -1.0, -1.0, -0.5])
     # mask 3 = both labels, offset -1/2
     assert problem.b[2] == -0.5 and problem.b[0] == -1.0
     assert problem.constant == 1.0

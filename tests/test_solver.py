@@ -5,7 +5,7 @@ from mrckit.objective import PiecewiseLinearProblem
 from mrckit.solver import (DivergenceError, SolverConfig, SolverError,
                            UnboundedObjectiveError, _schedule_arrays, solve,
                            solve_asm, solve_bsm, solve_easm,
-                           solve_easm_restart, solve_ebsm, solve_lp,
+                           solve_easm_restart, solve_lp,
                            subgradient)
 from conftest import random_learning_problem
 
@@ -158,17 +158,9 @@ def test_easm_matches_asm_on_random_plp(rng):
         assert np.allclose(asm.iterates, easm.iterates, atol=1e-10)
 
 
-def test_ebsm_matches_bsm(rng):
-    problem = random_plp(rng, m=10, p=30)
-    cfg = SolverConfig(max_iters=400, record_iterates=True)
-    bsm = solve_bsm(problem, cfg)
-    ebsm = solve_ebsm(problem, cfg)
-    assert np.allclose(bsm.iterates, ebsm.iterates, atol=1e-10)
-
-
 def test_monotone_best_all_methods(rng):
     problem, *_ = random_learning_problem(seed=3, n=20)
-    for method in ("bsm", "asm", "easm", "easm_restart", "ebsm"):
+    for method in ("bsm", "asm", "easm", "easm_restart"):
         cfg = SolverConfig(method=method, max_iters=800, restart_period=200,
                            record_trace=True)
         run = solve(problem, cfg)
@@ -204,22 +196,20 @@ def test_restart_extends_reach_with_full_reset():
         F=np.array([[1.0], [-1.0]]), b=np.array([-t, t]))
     plain = solve_easm(problem, SolverConfig(max_iters=2000))
     restarted = solve_easm_restart(
-        problem, SolverConfig(max_iters=2000, restart_period=200,
-                              restart_step_decay=1.0))
+        problem, SolverConfig(max_iters=2000, restart_period=200))
     assert restarted.best_value < plain.best_value - 10.0
 
 
 def test_restart_competitive_at_equal_iterations():
-    # with a decaying step scale the restarts track plain easm closely;
-    # the incumbent from the first segment is never lost
+    # the restarts track plain easm closely; the incumbent from the first
+    # segment is never lost
     for seed in range(6):
         problem, *_ = random_learning_problem(seed=100 + seed, n=30,
                                               kind="rff", D=5)
         plain = solve_easm(problem, SolverConfig(max_iters=4000))
         seg1 = solve_easm(problem, SolverConfig(max_iters=500))
         restarted = solve_easm_restart(
-            problem, SolverConfig(max_iters=4000, restart_period=500,
-                                  restart_step_decay=0.5))
+            problem, SolverConfig(max_iters=4000, restart_period=500))
         assert restarted.best_value <= seg1.best_value + 1e-9
         assert restarted.best_value <= plain.best_value + 2e-3
 
