@@ -474,32 +474,86 @@ def save_model(model, path):
         fh.write("\n")
 
 
+_MODEL_FIELDS = ("variant", "mu_star", "phi_star", "minimax_risk", "lower_bound",
+                 "mu_lower", "tau", "lambda", "feature_spec", "normalization",
+                 "instance_anchor", "label_names")
+
+
+def _field_array(value, name, shape):
+    """`value` as a finite float array of `shape` (None matches any length)."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"model field {name!r} is not a numeric array") from None
+    if arr.ndim != len(shape) or any(
+            want is not None and got != want for got, want in zip(arr.shape, shape)):
+        raise ValueError(f"model field {name!r} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"model field {name!r} holds non-finite values")
+    return arr
+
+
+def _field_number(payload, name):
+    value = payload[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError(f"model field {name!r} must be a finite number")
+    return value
+
+
 def load_model(path):
+    """Read a model file; a malformed one raises ValueError naming the field."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("model file does not hold a JSON object")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {payload.get('format_version')!r}")
+    missing = [name for name in _MODEL_FIELDS if name not in payload]
+    if missing:
+        raise ValueError(f"model file lacks the field(s) {', '.join(missing)}")
+    if payload["variant"] not in ("standard", "fixed_marginal"):
+        raise ValueError(f"model field 'variant' has unknown value {payload['variant']!r}")
+    try:
+        spec = features.spec_from_dict(payload["feature_spec"])
+        m = features.feature_dim(spec)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"model field 'feature_spec' is malformed: {exc!r}") from None
+    d = spec.d
     norm = payload["normalization"]
     stats = None
     if norm is not None:
-        stats = NormalizationStats(np.array(norm["mean"]), np.array(norm["std"]))
+        if not isinstance(norm, dict):
+            raise ValueError("model field 'normalization' must be an object or null")
+        stats = NormalizationStats(
+            _field_array(norm.get("mean"), "normalization.mean", (d,)),
+            _field_array(norm.get("std"), "normalization.std", (d,)))
+        if np.any(stats.std <= 0.0):
+            raise ValueError("model field 'normalization.std' must be positive")
+    names = payload["label_names"]
+    if not isinstance(names, list) or len(names) != spec.num_classes:
+        raise ValueError(
+            f"model field 'label_names' must list {spec.num_classes} names")
     mu_lower = payload["mu_lower"]
     return MrcModel(
-        mu_star=np.array(payload["mu_star"], dtype=float),
-        phi_star=payload["phi_star"],
-        minimax_risk=payload["minimax_risk"],
-        lower_bound=payload["lower_bound"],
+        mu_star=_field_array(payload["mu_star"], "mu_star", (m,)),
+        phi_star=_field_number(payload, "phi_star"),
+        minimax_risk=_field_number(payload, "minimax_risk"),
+        lower_bound=None if payload["lower_bound"] is None
+        else _field_number(payload, "lower_bound"),
         uncertainty=estimate.UncertaintySet(
-            np.array(payload["tau"], dtype=float),
-            np.array(payload["lambda"], dtype=float),
+            _field_array(payload["tau"], "tau", (m,)),
+            _field_array(payload["lambda"], "lambda", (m,)),
             payload.get("provenance", {}),
         ),
-        feature_spec=features.spec_from_dict(payload["feature_spec"]),
+        feature_spec=spec,
         normalization=stats,
-        instance_anchor=np.array(payload["instance_anchor"], dtype=float),
-        label_names=tuple(payload["label_names"]),
+        instance_anchor=_field_array(payload["instance_anchor"],
+                                     "instance_anchor", (None, d)),
+        label_names=tuple(names),
         variant=payload["variant"],
-        mu_lower=None if mu_lower is None else np.array(mu_lower, dtype=float),
+        mu_lower=None if mu_lower is None
+        else _field_array(mu_lower, "mu_lower", (m,)),
         raw_bounds=payload.get("raw_bounds", {}),
         solver_info=payload.get("solver_info", {}),
     )

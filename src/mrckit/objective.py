@@ -197,21 +197,13 @@ def build_upper_bound_problem(uncertainty, instances, spec, h):
 def build_lower_bound_problem(uncertainty, instances, spec, h):
     """Best-case expected loss of rule h, encoded negated.
 
-    Minimizing f gives minus the lower bound; reported_value restores the
-    sign.
+    The exact negation of the upper-bound problem: minimizing it gives minus
+    the lower bound; reported_value restores the sign.
     """
-    X = np.atleast_2d(np.asarray(instances, dtype=float))
-    s = X.shape[0]
-    K = spec.num_classes
-    h = _rule_matrix(h, s, K)
-    psi = features.scalar_feature_matrix(spec, X)
+    upper = build_upper_bound_problem(uncertainty, instances, spec, h)
     return PiecewiseLinearProblem(
-        a=uncertainty.tau.copy(),
-        lam=uncertainty.lam.copy(),
-        F=-_label_rows(psi, K),
-        b=h.reshape(-1),
-        constant=-1.0,
-        negate_reported=True,
+        a=-upper.a, lam=upper.lam, F=-upper.F, b=-upper.b,
+        constant=-upper.constant, negate_reported=True,
     )
 
 

@@ -10,10 +10,15 @@ Methods:
   easm_restart  easm in segments, each restarted from the incumbent
   lp            exact reformulation solved by the in-house simplex
 
-Iterates of asm and easm are identical by construction; easm only trades
-the per-iteration matrix-vector product for sparse column updates driven by
-sign changes of mu. Argmax ties break to the lowest row index everywhere
-and sign(0) = 0, which makes all methods bit-deterministic.
+asm, easm and easm_restart run one loop; they differ only in where the
+value and argmax row at each iterate come from (problem.evaluate, or the
+recursion, which trades the per-iteration matrix-vector product for sparse
+column updates driven by sign changes of mu), so their iterates are
+identical by construction. The recursion's values carry rounding drift, so
+the E-ASM methods re-evaluate the objective exactly at the returned point
+and report that value; the difference is kept as SolverRun.value_drift.
+Argmax ties break to the lowest row index everywhere and sign(0) = 0,
+which makes all methods bit-deterministic.
 """
 
 from __future__ import annotations
@@ -50,8 +55,6 @@ class SolverConfig:
     trace_every: int = 1
     record_iterates: bool = False
     divergence_floor: float = -1e9
-    no_improve: tuple | None = None    # (epsilon, window) early stop, off by default
-    resync_every: int = 0              # recompute easm state exactly every N iters
     lp_max_rows: int = 2000
     lp_max_cols: int = 500
     easm_budget_bytes: int = 2 << 30   # refuse G = F F^T beyond this
@@ -63,12 +66,13 @@ class SolverRun:
     best_value: float                  # constant included, minimization sense
     iterations_done: int
     method: str
-    status: str = "max_iters"          # or "stationary", "early_stop", "optimal"
+    status: str = "max_iters"          # or "stationary", "optimal"
     certificate: str = "subgradient"   # "lp" when the exact path produced it
     trace: list | None = None          # rows (iteration, seconds, best_value, gamma)
     iterates: np.ndarray | None = None
     sparsity_gamma: float | None = None
     timings: dict = field(default_factory=dict)
+    value_drift: float = 0.0           # recursion's best value minus the exact one
 
 
 def subgradient(problem, mu):
@@ -79,8 +83,6 @@ def subgradient(problem, mu):
 
 
 def solve(problem, config):
-    if config.max_iters < 1 and config.method != "lp":
-        raise SolverError("max_iters must be at least 1")
     method = config.method
     if method == "bsm":
         return solve_bsm(problem, config)
@@ -96,6 +98,8 @@ def solve(problem, config):
 
 
 def _start_point(problem, config):
+    if config.max_iters < 1:
+        raise SolverError("max_iters must be at least 1")
     if config.initial_mu is None:
         return np.zeros(problem.dimension)
     mu = np.asarray(config.initial_mu, dtype=float).copy()
@@ -118,15 +122,19 @@ def _check_value(value, constant, floor):
 class _RunRecorder:
     """Trace/iterate bookkeeping shared by the subgradient loops."""
 
-    def __init__(self, config, dim, iter_offset=0, time_offset=0.0):
+    def __init__(self, config, dim):
         self.trace = [] if config.record_trace else None
         self.every = max(1, config.trace_every)
         self.iterates = [] if config.record_iterates else None
+        self.dim = dim
+        self.segment(0, 0.0)
+
+    def segment(self, iter_offset, time_offset):
+        """Start a segment: rows are offset, gamma and the clock restart."""
         self.iter_offset = iter_offset
         self.time_offset = time_offset
         self.changed = 0
         self.total = 0
-        self.dim = dim
         self.t0 = time.perf_counter()
 
     def snapshot_mu(self, mu):
@@ -158,18 +166,6 @@ class _RunRecorder:
         return time.perf_counter() - self.t0
 
 
-def _maybe_early_stop(config, history, best):
-    if config.no_improve is None:
-        return False
-    eps, window = config.no_improve
-    history.append(best)
-    if len(history) <= window:
-        return False
-    if history[-window - 1] - best < eps:
-        return True
-    return False
-
-
 def solve_bsm(problem, config):
     """Basic subgradient method with the normalized 1/sqrt(k+1) step."""
     mu = _start_point(problem, config)
@@ -184,7 +180,6 @@ def solve_bsm(problem, config):
     rec.snapshot_mu(mu)
     prev_sign = np.sign(mu)
     status = "max_iters"
-    history = []
     k = 0
     for k in range(1, config.max_iters + 1):
         g = problem.subgradient_from(mu, token)
@@ -203,9 +198,6 @@ def solve_bsm(problem, config):
         rec.step(k, constant + best_raw, int(np.count_nonzero(sign != prev_sign)))
         prev_sign = sign
         rec.snapshot_mu(mu)
-        if _maybe_early_stop(config, history, best_raw):
-            status = "early_stop"
-            break
     return SolverRun(
         best_mu=best_mu, best_value=constant + best_raw, iterations_done=k,
         method="bsm", status=status, trace=rec.trace,
@@ -231,50 +223,6 @@ def _schedule_arrays(K):
     return c, eta
 
 
-def solve_asm(problem, config):
-    """Accelerated subgradient method (extrapolated iterates, best tracking)."""
-    mu = _start_point(problem, config)
-    constant = problem.constant
-    floor = config.divergence_floor
-    K = config.max_iters
-    c, eta = _schedule_arrays(K + 1)
-    raw, token = problem.evaluate(mu)
-    _check_value(raw, constant, floor)
-    best_raw = raw
-    best_mu = mu.copy()
-    y = mu.copy()
-    rec = _RunRecorder(config, mu.size)
-    rec.start(constant + best_raw)
-    rec.snapshot_mu(mu)
-    prev_sign = np.sign(mu)
-    status = "max_iters"
-    history = []
-    k = 0
-    for k in range(1, K + 1):
-        g = problem.subgradient_from(mu, token)
-        y_next = mu - c[k - 1] * g
-        mu = (1.0 + eta[k - 1]) * y_next - eta[k - 1] * y
-        y = y_next
-        raw, token = problem.evaluate(mu)
-        _check_value(raw, constant, floor)
-        if raw < best_raw:
-            best_raw = raw
-            best_mu = mu.copy()
-        sign = np.sign(mu)
-        rec.step(k, constant + best_raw, int(np.count_nonzero(sign != prev_sign)))
-        prev_sign = sign
-        rec.snapshot_mu(mu)
-        if _maybe_early_stop(config, history, best_raw):
-            status = "early_stop"
-            break
-    return SolverRun(
-        best_mu=best_mu, best_value=constant + best_raw, iterations_done=k,
-        method="asm", status=status, trace=rec.trace,
-        iterates=_stack(rec.iterates), sparsity_gamma=rec.gamma(),
-        timings={"loop_seconds": rec.loop_seconds(), "iterations": k},
-    )
-
-
 def _require_materialized(problem, config):
     if not isinstance(problem, PiecewiseLinearProblem):
         raise SolverError(
@@ -290,96 +238,140 @@ def _require_materialized(problem, config):
         )
 
 
-def _easm_precompute(problem):
-    F = problem.F
-    alpha = F @ problem.a
-    G = F @ F.T
-    H = 2.0 * F * problem.lam  # 2 F diag(lam)
-    return alpha, G, H
+class _Recursion:
+    """E-ASM state: v = F mu + b, w = F y + b and d = F diag(lam) sign(mu).
+
+    One accelerated step moves v and w by F g = F a + d + F F[i]^T, read
+    off the precomputed F a, F F^T and H = 2 F diag(lam); a sign change of
+    mu updates d by the matching (half-)columns of H.
+    """
+
+    def __init__(self, problem):
+        F = problem.F
+        self.problem = problem
+        self.alpha = F @ problem.a
+        self.G = F @ F.T
+        self.H = 2.0 * F * problem.lam
+
+    def start(self, mu):
+        self.v = self.problem.F @ mu + self.problem.b
+        self.w = self.v.copy()
+        self.s = np.sign(mu)
+        self.d = 0.5 * (self.H @ self.s)
+
+    def step(self, mu, i, ck, ek, sign, flips):
+        """Value and argmax row at mu, reached by the step (ck, ek) from the
+        iterate whose argmax row was i; sign is sign(mu) and flips indexes
+        its entries that changed."""
+        w_next = self.v - ck * (self.alpha + self.d + self.G[i])
+        self.v = (1.0 + ek) * w_next - ek * self.w
+        self.w = w_next
+        if flips.size:
+            self.d = self.d + self.H[:, flips] @ (0.5 * (sign[flips] - self.s[flips]))
+        self.s = sign
+        i = int(np.argmax(self.v))
+        p = self.problem
+        return float(p.a @ mu + p.lam @ np.abs(mu) + self.v[i]), i
 
 
-def _structured_core(problem, config, mu0, max_iters, precomp,
-                     iter_offset=0, time_offset=0.0, incumbent=None):
-    """The easm loop over one segment of max_iters iterations."""
-    a, b, lam, F = problem.a, problem.b, problem.lam, problem.F
+def _accelerated(problem, config, mu, iters, recursion, rec, incumbent):
+    """One segment of the accelerated schedule, started afresh at mu.
+
+    Values and argmax rows come from problem.evaluate, or from the recursion
+    when one is given. The incumbent (value, mu) of earlier segments stays
+    the best unless beaten. Returns the best (value, mu), constant included.
+    """
     constant = problem.constant
     floor = config.divergence_floor
-    alpha, G, H = precomp
-    K = max_iters
-    c, eta = _schedule_arrays(K + 1)
-
-    mu = mu0.copy()
-    y = mu.copy()
-    v = F @ mu + b
-    w = v.copy()
-    s = np.sign(mu)
-    d = 0.5 * (H @ s)
-    i = int(np.argmax(v))
-    raw = float(a @ mu + lam @ np.abs(mu) + v[i])
+    c, eta = _schedule_arrays(iters + 1)
+    raw, token = problem.evaluate(mu)
     _check_value(raw, constant, floor)
+    if recursion is not None:
+        recursion.start(mu)
     best_raw = raw
     best_mu = mu.copy()
     if incumbent is not None and incumbent[0] - constant < best_raw:
         best_raw = incumbent[0] - constant
         best_mu = incumbent[1].copy()
-    rec = _RunRecorder(config, mu.size, iter_offset, time_offset)
     rec.start(constant + best_raw)
     rec.snapshot_mu(mu)
-    status = "max_iters"
-    history = []
-    k = 0
-    for k in range(1, K + 1):
-        g = a + lam * s + F[i]
+    y = mu
+    prev_sign = np.sign(mu)
+    for k in range(1, iters + 1):
+        g = problem.subgradient_from(mu, token)
         ck, ek = c[k - 1], eta[k - 1]
         y_next = mu - ck * g
-        mu_next = (1.0 + ek) * y_next - ek * y
-        u = alpha + d + G[i]
-        w_next = v - ck * u
-        v = (1.0 + ek) * w_next - ek * w
-        w = w_next
-        i = int(np.argmax(v))
-        s_next = np.sign(mu_next)
-        delta = s_next - s
-        nz = np.flatnonzero(delta)
-        if nz.size:
-            d = d + H[:, nz] @ (0.5 * delta[nz])
-        s = s_next
-        mu = mu_next
+        mu = (1.0 + ek) * y_next - ek * y
         y = y_next
-        if config.resync_every and k % config.resync_every == 0:
-            v = F @ mu + b
-            w = F @ y + b
-            d = 0.5 * (H @ s)
-            i = int(np.argmax(v))
-        raw = float(a @ mu + lam @ np.abs(mu) + v[i])
+        sign = np.sign(mu)
+        flips = np.flatnonzero(sign != prev_sign)
+        if recursion is None:
+            raw, token = problem.evaluate(mu)
+        else:
+            raw, token = recursion.step(mu, token, ck, ek, sign, flips)
         _check_value(raw, constant, floor)
         if raw < best_raw:
             best_raw = raw
             best_mu = mu.copy()
-        rec.step(k, constant + best_raw, int(nz.size))
+        rec.step(k, constant + best_raw, flips.size)
+        prev_sign = sign
         rec.snapshot_mu(mu)
-        if _maybe_early_stop(config, history, best_raw):
-            status = "early_stop"
-            break
+    return constant + best_raw, best_mu
+
+
+def _solve_accelerated(problem, config, method, period=None):
+    """The accelerated loop in segments of `period` iterations (one segment
+    when None), each restarted from the incumbent with the schedule reset.
+
+    The E-ASM methods carry values by recursion; they end by evaluating the
+    objective exactly at the returned point and report that value.
+    """
+    recursion = None
+    timings = {}
+    if method != "asm":
+        _require_materialized(problem, config)
+        t0 = time.perf_counter()
+        recursion = _Recursion(problem)
+        timings["precompute_seconds"] = time.perf_counter() - t0
+    mu = _start_point(problem, config)
+    rec = _RunRecorder(config, mu.size)
+    best_value, best_mu = math.inf, None
+    done = 0
+    loop_seconds = changed_frac = 0.0
+    while done < config.max_iters:
+        seg = min(period or config.max_iters, config.max_iters - done)
+        rec.segment(done, loop_seconds)
+        incumbent = None if best_mu is None else (best_value, best_mu)
+        value, seg_mu = _accelerated(problem, config, mu, seg, recursion,
+                                     rec, incumbent)
+        if value < best_value:
+            best_value, best_mu = value, seg_mu
+        done += seg
+        loop_seconds += rec.loop_seconds()
+        changed_frac += rec.gamma() * seg
+        mu = best_mu
+    drift = 0.0
+    if recursion is not None:
+        exact = problem.objective(best_mu)
+        best_value, drift = exact, best_value - exact
+    timings.update(loop_seconds=loop_seconds, iterations=done)
+    # restarted runs weight each segment's gamma by its length
     return SolverRun(
-        best_mu=best_mu, best_value=constant + best_raw, iterations_done=k,
-        method="easm", status=status,
-        trace=rec.trace, iterates=_stack(rec.iterates),
-        sparsity_gamma=rec.gamma(),
-        timings={"loop_seconds": rec.loop_seconds(), "iterations": k},
+        best_mu=best_mu, best_value=best_value, iterations_done=done,
+        method=method, trace=rec.trace, iterates=_stack(rec.iterates),
+        sparsity_gamma=rec.gamma() if period is None else changed_frac / done,
+        timings=timings, value_drift=drift,
     )
+
+
+def solve_asm(problem, config):
+    """Accelerated subgradient method (extrapolated iterates, best tracking)."""
+    return _solve_accelerated(problem, config, "asm")
 
 
 def solve_easm(problem, config):
     """Structured accelerated method; iterates match solve_asm exactly."""
-    _require_materialized(problem, config)
-    t0 = time.perf_counter()
-    precomp = _easm_precompute(problem)
-    pre_seconds = time.perf_counter() - t0
-    run = _structured_core(problem, config, _start_point(problem, config),
-                           config.max_iters, precomp)
-    run.timings["precompute_seconds"] = pre_seconds
-    return run
+    return _solve_accelerated(problem, config, "easm")
 
 
 def solve_easm_restart(problem, config):
@@ -388,52 +380,10 @@ def solve_easm_restart(problem, config):
     Each segment resets the extrapolation schedule (k back to 1) and starts
     at the best point found so far; the incumbent is kept across segments.
     """
-    _require_materialized(problem, config)
     if config.restart_period < 1:
         raise SolverError("restart_period must be at least 1")
-    t0 = time.perf_counter()
-    precomp = _easm_precompute(problem)
-    pre_seconds = time.perf_counter() - t0
-
-    mu_start = _start_point(problem, config)
-    remaining = config.max_iters
-    best_mu = None
-    best_value = math.inf
-    done = 0
-    loop_seconds = 0.0
-    trace = [] if config.record_trace else None
-    iterates = [] if config.record_iterates else None
-    changed_frac = 0.0
-    status = "max_iters"
-    while remaining > 0:
-        seg = min(config.restart_period, remaining)
-        incumbent = None if best_mu is None else (best_value, best_mu)
-        run = _structured_core(problem, config, mu_start, seg, precomp,
-                               iter_offset=done, time_offset=loop_seconds,
-                               incumbent=incumbent)
-        if run.best_value < best_value:
-            best_value = run.best_value
-            best_mu = run.best_mu
-        done += run.iterations_done
-        remaining -= run.iterations_done
-        loop_seconds += run.timings["loop_seconds"]
-        changed_frac += run.sparsity_gamma * run.iterations_done
-        if trace is not None:
-            trace.extend(run.trace)
-        if iterates is not None and run.iterates is not None:
-            iterates.append(run.iterates)
-        mu_start = best_mu
-        if run.status == "early_stop":
-            status = run.status
-            break
-    return SolverRun(
-        best_mu=best_mu, best_value=best_value, iterations_done=done,
-        method="easm_restart", status=status, trace=trace,
-        iterates=np.vstack(iterates) if iterates else None,
-        sparsity_gamma=changed_frac / max(done, 1),
-        timings={"loop_seconds": loop_seconds, "iterations": done,
-                 "precompute_seconds": pre_seconds},
-    )
+    return _solve_accelerated(problem, config, "easm_restart",
+                              config.restart_period)
 
 
 def solve_lp(problem, config):

@@ -119,6 +119,37 @@ def test_predict_same_output_with_or_without_labels(blob_csv, tmp_path):
     assert len(written) == 1
 
 
+@pytest.mark.parametrize("edit,field", [
+    pytest.param(lambda p: p.pop("mu_star"), "mu_star", id="missing"),
+    pytest.param(lambda p: p.update(label_names=["1"]), "label_names",
+                 id="one-label"),
+    pytest.param(lambda p: p.update(phi_star=None), "phi_star", id="null-phi"),
+    pytest.param(lambda p: p.update(normalization={"mean": [0.0], "std": [1.0]}),
+                 "normalization.mean", id="short-normalization"),
+    pytest.param(lambda p: p.update(mu_star=[float("nan")] * len(p["mu_star"])),
+                 "mu_star", id="nan-mu"),
+    pytest.param(lambda p: p.update(variant="bogus"), "variant",
+                 id="unknown-variant"),
+    pytest.param(lambda p: p.update(instance_anchor=[[0.0, 1.0, 2.0]]),
+                 "instance_anchor", id="wide-anchor"),
+])
+def test_malformed_model_file_exit_1(blob_csv, tmp_path, capsys, edit, field):
+    out = tmp_path / "out"
+    run_cli(*train_args(blob_csv, str(out)))
+    payload = json.loads((out / "model.json").read_text())
+    edit(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    for command in (["predict", "--data", blob_csv], ["bounds"]):
+        code = run_cli(command[0], "--model", str(bad),
+                       "--out", str(tmp_path / "o"), *command[1:])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert field in err and err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 def test_bounds_command(blob_csv, tmp_path):
     out = str(tmp_path / "out")
     run_cli(*train_args(blob_csv, out))

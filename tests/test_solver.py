@@ -243,19 +243,19 @@ def test_lp_dominates_subgradient_methods(rng):
             assert run.best_value >= lp.best_value - 1e-9
 
 
-def test_easm_resync_keeps_iterates(rng):
-    problem, *_ = random_learning_problem(seed=7, n=20)
-    plain = solve_easm(problem, SolverConfig(max_iters=1000))
-    synced = solve_easm(problem, SolverConfig(max_iters=1000, resync_every=100))
-    assert abs(plain.best_value - synced.best_value) < 1e-8
-
-
-def test_early_stop_window():
-    problem, *_ = random_learning_problem(seed=8, n=15)
-    run = solve_easm(problem, SolverConfig(max_iters=50_000,
-                                           no_improve=(1e-12, 200)))
-    assert run.status == "early_stop"
-    assert run.iterations_done < 50_000
+def test_easm_reports_exact_value_at_best_mu():
+    # the recursion drifts by about 1e-11 over 2e4 iterations; the
+    # reported value is the objective re-evaluated at the returned point
+    problem, *_ = random_learning_problem(seed=0, n=60, num_classes=2,
+                                          kind="rff", D=20)
+    for method in ("easm", "easm_restart"):
+        run = solve(problem, SolverConfig(method=method, max_iters=20_000))
+        assert run.best_value == problem.objective(run.best_mu)
+        if method == "easm":
+            assert run.value_drift != 0.0
+    for method in ("bsm", "asm"):
+        run = solve(problem, SolverConfig(method=method, max_iters=2000))
+        assert run.value_drift == 0.0
 
 
 def test_gamma_recorded(rng):
