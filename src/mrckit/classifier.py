@@ -46,7 +46,7 @@ class MrcModel:
     raw_bounds: dict = field(default_factory=dict)
     solver_info: dict = field(default_factory=dict)
     training_trace: list | None = None   # (iter, sec, best, gamma); not serialized
-    learning_rows: int | None = None     # None if matrix-free; not serialized
+    learning_rows: int | None = None     # None if fixed-marginal; not serialized
 
     @property
     def num_classes(self):
@@ -189,7 +189,7 @@ def _solve_learning(unc, anchor, spec, solver_config, variant, repair):
     """Build and minimize the learning objective, repairing per `repair`.
 
     Returns (uncertainty set used, run, rows of the learning problem or
-    None when it is matrix-free, notices).
+    None for the fixed-marginal objective, notices).
     """
     notices = []
     if repair == "always":
@@ -198,14 +198,10 @@ def _solve_learning(unc, anchor, spec, solver_config, variant, repair):
             notices.append("uncertainty set repaired up front")
             log.info("feasibility repair adjusted the uncertainty set")
 
-    def build(u):
-        if variant == "fixed_marginal":
-            return objective.build_fixed_marginal_problem(u, anchor, spec)
-        if spec.num_classes > objective.SUBSET_ENUMERATION_CAP:
-            return objective.build_learning_objective_topk(u, anchor, spec)
-        return objective.build_learning_problem(u, anchor, spec)
+    build = (objective.build_fixed_marginal_problem if variant == "fixed_marginal"
+             else objective.build_learning_problem)
 
-    problem = build(unc)
+    problem = build(unc, anchor, spec)
     try:
         run = solve(problem, solver_config)
     except (UnboundedObjectiveError, DivergenceError) as exc:
@@ -214,11 +210,9 @@ def _solve_learning(unc, anchor, spec, solver_config, variant, repair):
         log.warning("learning solve failed (%s); repairing the uncertainty set", exc)
         notices.append(f"repaired after: {exc}")
         unc, _ = _repair(unc, anchor, spec)
-        problem = build(unc)
+        problem = build(unc, anchor, spec)
         run = solve(problem, solver_config)
-    rows = problem.num_rows if isinstance(
-        problem, objective.PiecewiseLinearProblem) else None
-    return unc, run, rows, notices
+    return unc, run, None if problem.average else problem.num_rows, notices
 
 
 def _repair(unc, anchor_X, spec):
@@ -326,8 +320,8 @@ def bounds_for_rule(uncertainty, instances, spec, h, solver_config=None):
     """
     if solver_config is None:
         solver_config = SolverConfig()
-    low = objective.build_lower_bound_problem(uncertainty, instances, spec, h)
     high = objective.build_upper_bound_problem(uncertainty, instances, spec, h)
+    low = objective.lower_from_upper(high)
     low_run = solve(low, solver_config)
     high_run = solve(high, solver_config)
     lower_raw = low.reported_value(low_run.best_value)

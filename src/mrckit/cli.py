@@ -26,6 +26,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 
+# `predict` maps, scores and writes this many rows at a time, so its memory
+# does not grow with the input.
+PREDICT_CHUNK_ROWS = 2048
+
 
 def child_seed(master, counter):
     """Stable per-task seed derived from the master seed."""
@@ -229,8 +233,6 @@ def cmd_predict(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     model = classifier.load_model(args.model)
     X = load_features(args.data, model.feature_spec.d, args.has_header)
-    labels, proba = classifier.rule_from_scores(
-        model, classifier.batch_scores(model, X))
     out_path = out_dir / "predictions.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -238,11 +240,14 @@ def cmd_predict(args):
         if args.proba:
             head += [f"p_{name}" for name in model.label_names]
         writer.writerow(head)
-        for i, lab in enumerate(labels):
-            row = [model.label_names[lab - 1]]
-            if args.proba:
-                row += [repr(float(v)) for v in proba[i]]
-            writer.writerow(row)
+        for start in range(0, X.shape[0], PREDICT_CHUNK_ROWS):
+            labels, proba = classifier.rule_from_scores(model, classifier.batch_scores(
+                model, X[start:start + PREDICT_CHUNK_ROWS]))
+            for i, lab in enumerate(labels):
+                row = [model.label_names[lab - 1]]
+                if args.proba:
+                    row += [repr(float(v)) for v in proba[i]]
+                writer.writerow(row)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -402,6 +407,7 @@ def cmd_bench_solvers(args):
             "initial_value": run.trace[0][2] if run.trace else None,
             "iterations": run.iterations_done,
             "seconds_per_iteration": per_iter,
+            "precompute_seconds": run.timings.get("precompute_seconds", 0.0),
             "gamma": run.sparsity_gamma,
             "trace": str(trace_path),
         }

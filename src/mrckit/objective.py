@@ -4,45 +4,67 @@ Every problem takes the form
 
     f(mu) = constant + a^T mu + lam^T |mu| + max(F mu + b)
 
-where each row of F comes from one (instance, label-subset) or (instance,
-label) pair. The learning problem enumerates all nonempty label subsets per
-instance; the bound problems use one row per (instance, label). The support
-function phi is evaluated with a sorted top-k shortcut: for a fixed subset
-size k, the maximizing subset consists of the k largest per-label scores.
+over rows (i, r), instance-major: row (i, r) of F places the class weights
+w_r / s_r blockwise on the scalar features psi(x_i) and offsets[i, r] is
+its entry of b. So F mu is the n x K score matrix S = psi mu_c^T read
+through the weights, F F^T = (W W^T) (x) (psi psi^T), and F and b are only
+views. The learning rows are the nonempty label subsets (bitmasks
+ascending, offsets -1/|subset|); the bound problems use the identity, and
+the lower-bound problem is the upper one negated (the identity on -psi).
+The fixed-marginal objective averages each instance's row max over the
+instances instead of maximizing. Past SUBSET_ENUMERATION_CAP classes each
+instance's best subset comes from a sorted top-k rule (for a fixed size k
+it holds the k largest scores), which also evaluates phi.
 
 Problems expose `evaluate(mu) -> (value_excl_constant, token)` and
-`subgradient_from(mu, token)` so the subgradient solvers can share one code
-path; matrix-free variants of the learning and fixed-marginal objectives
-implement the same protocol for class counts past the enumeration cap.
+`subgradient_from(mu, token)`. A token is the flat index i * R + r of the
+argmax row, or for averaged problems each instance's argmax r.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import features
 
-# Enumerating 2^K - 1 subsets per instance; past this cap use the
-# matrix-free top-k objective (which rules out the structured solver).
+# Enumerating the 2^K - 1 subsets per instance is faster up to this class
+# count; past it the top-k rule finds the maximizing subsets.
 SUBSET_ENUMERATION_CAP = 12
 
 
 @dataclass
 class PiecewiseLinearProblem:
+    """Every objective (module docstring). `weights` and `offsets` are None
+    for the top-k learning rows."""
+
     a: np.ndarray
     lam: np.ndarray
-    F: np.ndarray
-    b: np.ndarray
+    psi: np.ndarray                 # (n, B) scalar features of the pool
+    weights: np.ndarray | None      # (R, K) 0/1 class weights of the rows
+    offsets: np.ndarray | None      # (n, R) entries of b
     constant: float = 0.0
-    negate_reported: bool = False  # set when min f encodes sup of the negation
+    negate_reported: bool = False   # set when min f encodes sup of the negation
+    average: bool = False           # average the instance maxima instead
 
     def __post_init__(self):
         self.a = np.ascontiguousarray(self.a, dtype=float)
         self.lam = np.ascontiguousarray(self.lam, dtype=float)
-        self.F = np.ascontiguousarray(self.F, dtype=float)
-        self.b = np.ascontiguousarray(self.b, dtype=float)
+        self.psi = np.ascontiguousarray(self.psi, dtype=float)
+        self.num_classes = self.a.size // self.psi.shape[1]
+        self._row_matrix = None     # (K, R) weights / size; None: identity
+        if self.weights is None:
+            self.rows_per_instance = 2 ** self.num_classes - 1
+            return
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.offsets = np.ascontiguousarray(self.offsets, dtype=float)
+        self.rows_per_instance = self.weights.shape[0]
+        self._members = [np.flatnonzero(w).tolist() for w in self.weights]
+        self._scaled = self.weights / self.weights.sum(axis=1, keepdims=True)
+        if not np.array_equal(self.weights, np.eye(self.num_classes)):
+            self._row_matrix = np.ascontiguousarray(self._scaled.T)
 
     @property
     def dimension(self):
@@ -50,17 +72,78 @@ class PiecewiseLinearProblem:
 
     @property
     def num_rows(self):
-        return self.F.shape[0]
+        return self.psi.shape[0] * self.rows_per_instance
+
+    @property
+    def F(self):
+        """The rows matrix, (num_rows, dimension), materialized on each read."""
+        n, B = self.psi.shape
+        F = np.zeros((n, self.rows_per_instance, self.dimension))
+        for r in range(self.rows_per_instance):
+            members = self._members_of(r)
+            for c in members:
+                F[:, r, c * B:(c + 1) * B] = self.psi / len(members)
+        return F.reshape(self.num_rows, self.dimension)
+
+    @property
+    def b(self):
+        R = self.rows_per_instance
+        offsets = self.offsets
+        if offsets is None:  # -1/|subset|
+            offsets = -self._row_weights(np.arange(R)).max(axis=1)
+        return np.broadcast_to(offsets, (self.psi.shape[0], R)).reshape(-1)
+
+    def scores(self, mu):
+        """Per-class scores psi(x_i)^T mu_c over the pool; shape (n, K)."""
+        return self.psi @ mu.reshape(self.num_classes, -1).T
+
+    def _members_of(self, r):
+        """The classes of row r: those with weight 1."""
+        if self.weights is None:
+            return [c for c in range(self.num_classes) if (r + 1) >> c & 1]
+        return self._members[r]
+
+    def _row_weights(self, rows):
+        """weights / size of rows (an index or an array); shape (..., K)."""
+        if self.weights is None:
+            w = _subset_weights(np.asarray(rows) + 1, self.num_classes)
+            return w / w.sum(axis=-1, keepdims=True)
+        return self._scaled[rows]
+
+    def _value_at(self, mu, S):
+        """Value (constant excluded) and token at mu, given S = scores(mu)."""
+        base = self.a @ mu + self.lam @ np.abs(mu)
+        if self.weights is None:
+            top, rows = _topk_rows(S)
+        else:
+            V = S if self._row_matrix is None else S @ self._row_matrix
+            V = V + self.offsets
+            if not self.average:
+                token = int(V.argmax())  # flat row index, lowest on ties
+                return float(base + V.item(token)), token
+            rows = np.argmax(V, axis=1)
+            top = V[np.arange(V.shape[0]), rows]
+        if self.average:
+            return float(base + top.mean()), rows
+        i = int(np.argmax(top))
+        return float(base + top[i]), i * self.rows_per_instance + int(rows[i])
 
     def evaluate(self, mu):
-        """Objective value (constant excluded) and the argmax row index."""
-        v = self.F @ mu + self.b
-        i = int(np.argmax(v))
-        raw = float(self.a @ mu + self.lam @ np.abs(mu) + v[i])
-        return raw, i
+        """Objective value (constant excluded) and the argmax token."""
+        return self._value_at(mu, self.scores(mu))
 
     def subgradient_from(self, mu, token):
-        return self.a + self.lam * np.sign(mu) + self.F[token]
+        g = self.a + self.lam * np.sign(mu)
+        if self.average:
+            g += (self._row_weights(token).T @ self.psi).ravel() / self.psi.shape[0]
+            return g
+        i, r = divmod(token, self.rows_per_instance)
+        members = self._members_of(r)
+        row = self.psi[i] / len(members)
+        B = row.size
+        for c in members:
+            g[c * B:(c + 1) * B] += row
+        return g
 
     def objective(self, mu):
         """Full objective value, constant included."""
@@ -72,38 +155,24 @@ class PiecewiseLinearProblem:
         return -minimized_value if self.negate_reported else minimized_value
 
 
-def subset_masks(num_classes):
-    """All nonempty label subsets as bitmasks in ascending order."""
-    return list(range(1, 2 ** num_classes))
+def _subset_weights(masks, num_classes):
+    """0/1 class weights of label-subset bitmasks; shape (..., num_classes)."""
+    return (np.asarray(masks)[..., None] >> np.arange(num_classes) & 1).astype(float)
 
 
-def _topk_candidates(scores):
-    """Per-row top-k prefix candidates (sum_topk - 1) / k; shape (n, K)."""
-    K = scores.shape[1]
+def _topk_rows(scores):
+    """Each instance's best subset value (sum_topk - 1) / k by the top-k rule
+    and that subset's row index (bitmask - 1); ties go to the smallest k."""
     order = np.argsort(-scores, axis=1, kind="stable")
-    sorted_scores = np.take_along_axis(scores, order, axis=1)
-    csum = np.cumsum(sorted_scores, axis=1)
-    return (csum - 1.0) / np.arange(1, K + 1), order
+    csum = np.cumsum(np.take_along_axis(scores, order, axis=1), axis=1)
+    cand = (csum - 1.0) / np.arange(1, scores.shape[1] + 1)
+    at = np.arange(scores.shape[0]), np.argmax(cand, axis=1)
+    return cand[at], np.cumsum(1 << order, axis=1)[at] - 1
 
 
 def phi_per_instance(scores):
     """Support-function value at each instance given its per-label scores."""
-    cand, _ = _topk_candidates(np.atleast_2d(scores))
-    return cand.max(axis=1)
-
-
-def _phi_weights(scores):
-    """phi per instance plus the label-averaging weights of the maximizing subset."""
-    scores = np.atleast_2d(scores)
-    n, K = scores.shape
-    cand, order = _topk_candidates(scores)
-    kbest = np.argmax(cand, axis=1)  # smallest maximizing size on ties
-    phi_x = cand[np.arange(n), kbest]
-    weights = np.zeros((n, K))
-    for i in range(n):
-        k = kbest[i] + 1
-        weights[i, order[i, :k]] = 1.0 / k
-    return phi_x, weights
+    return _topk_rows(np.atleast_2d(scores))[0]
 
 
 def phi_at_x(mu, x, spec):
@@ -122,7 +191,7 @@ def phi(mu, instances, spec):
 
 
 def build_learning_problem(uncertainty, instances, spec):
-    """Materialize the learning objective: one row per (instance, subset).
+    """The learning objective: one row per (instance, nonempty label subset).
 
     Minimizing the result yields the minimax risk and the rule parameters.
     """
@@ -131,31 +200,20 @@ def build_learning_problem(uncertainty, instances, spec):
     if s == 0:
         raise ValueError("learning problem needs a nonempty instance pool")
     K = spec.num_classes
-    if K > SUBSET_ENUMERATION_CAP:
-        raise ValueError(
-            f"{K} classes exceed the subset-enumeration cap "
-            f"({SUBSET_ENUMERATION_CAP}); use build_learning_objective_topk, "
-            "which restricts solving to the generic subgradient methods"
-        )
-    B = features.block_dim(spec)
-    m = K * B
-    if uncertainty.m != m:
+    if K > 62:  # row indices are subset bitmasks in 64-bit integers
+        raise ValueError(f"{K} classes exceed the supported 62")
+    if uncertainty.m != features.feature_dim(spec):
         raise ValueError("uncertainty set length does not match the feature map")
-    psi = features.scalar_feature_matrix(spec, X)
-    masks = subset_masks(K)
-    F = np.zeros((s, len(masks), m))
-    b = np.empty((s, len(masks)))
-    for mi, mask in enumerate(masks):
-        members = [c for c in range(K) if mask >> c & 1]
-        size = len(members)
-        for c in members:
-            F[:, mi, c * B:(c + 1) * B] = psi / size
-        b[:, mi] = -1.0 / size
+    weights = offsets = None
+    if K <= SUBSET_ENUMERATION_CAP:
+        weights = _subset_weights(np.arange(1, 2 ** K), K)
+        offsets = np.broadcast_to(-1.0 / weights.sum(axis=1), (s, weights.shape[0]))
     return PiecewiseLinearProblem(
         a=-uncertainty.tau,
         lam=uncertainty.lam.copy(),
-        F=F.reshape(s * len(masks), m),
-        b=b.reshape(-1),
+        psi=features.scalar_feature_matrix(spec, X),
+        weights=weights,
+        offsets=offsets,
         constant=1.0,
     )
 
@@ -169,104 +227,42 @@ def _rule_matrix(h, s, K):
     return h
 
 
-def _label_rows(psi, K):
-    """Rows Phi(x_i, y) in instance-major, label-ascending order."""
-    s, B = psi.shape
-    F = np.zeros((s, K, K * B))
-    for c in range(K):
-        F[:, c, c * B:(c + 1) * B] = psi
-    return F.reshape(s * K, K * B)
-
-
 def build_upper_bound_problem(uncertainty, instances, spec, h):
     """Worst-case expected loss of rule h: minimize to get the upper bound."""
     X = np.atleast_2d(np.asarray(instances, dtype=float))
     s = X.shape[0]
     K = spec.num_classes
     h = _rule_matrix(h, s, K)
-    psi = features.scalar_feature_matrix(spec, X)
     return PiecewiseLinearProblem(
         a=-uncertainty.tau,
         lam=uncertainty.lam.copy(),
-        F=_label_rows(psi, K),
-        b=-h.reshape(-1),
+        psi=features.scalar_feature_matrix(spec, X),
+        weights=np.eye(K),
+        offsets=-h,
         constant=1.0,
     )
 
 
-def build_lower_bound_problem(uncertainty, instances, spec, h):
-    """Best-case expected loss of rule h, encoded negated.
+def lower_from_upper(upper):
+    """Best-case expected loss of the rule behind `upper`, encoded negated.
 
-    The exact negation of the upper-bound problem: minimizing it gives minus
-    the lower bound; reported_value restores the sign.
+    The exact negation of the upper-bound problem (the identity on -psi):
+    minimizing it gives minus the lower bound; reported_value restores the
+    sign.
     """
-    upper = build_upper_bound_problem(uncertainty, instances, spec, h)
     return PiecewiseLinearProblem(
-        a=-upper.a, lam=upper.lam, F=-upper.F, b=-upper.b,
-        constant=-upper.constant, negate_reported=True,
+        a=-upper.a, lam=upper.lam, psi=-upper.psi, weights=upper.weights,
+        offsets=-upper.offsets, constant=-upper.constant, negate_reported=True,
     )
 
 
-class _ScoreObjective:
-    """Shared machinery for the matrix-free objectives."""
-
-    constant = 1.0
-
-    def __init__(self, uncertainty, instances, spec):
-        X = np.atleast_2d(np.asarray(instances, dtype=float))
-        if X.shape[0] == 0:
-            raise ValueError("objective needs a nonempty instance pool")
-        self.tau = uncertainty.tau
-        self.lam = uncertainty.lam
-        self.spec = spec
-        self.psi = features.scalar_feature_matrix(spec, X)
-        self.num_instances = X.shape[0]
-        if uncertainty.m != spec.num_classes * self.psi.shape[1]:
-            raise ValueError("uncertainty set length does not match the feature map")
-
-    @property
-    def dimension(self):
-        return self.tau.size
-
-    def _scores(self, mu):
-        return self.psi @ mu.reshape(self.spec.num_classes, -1).T
-
-    def objective(self, mu):
-        raw, _ = self.evaluate(mu)
-        return self.constant + raw
-
-    def subgradient_from(self, mu, token):
-        return -self.tau + self.lam * np.sign(mu) + token
-
-
-class MaxPhiObjective(_ScoreObjective):
-    """Learning objective with phi evaluated by top-k, no materialized rows."""
-
-    def evaluate(self, mu):
-        phi_x, weights = _phi_weights(self._scores(mu))
-        i = int(np.argmax(phi_x))
-        row = (weights[i][:, None] * self.psi[i][None, :]).ravel()
-        raw = float(-self.tau @ mu + self.lam @ np.abs(mu) + phi_x[i])
-        return raw, row
-
-
-class MeanPhiObjective(_ScoreObjective):
-    """Fixed-instance-marginal objective: phi averaged over the instances.
-
-    Not expressible as a single max over rows, so only the generic
-    subgradient methods apply.
-    """
-
-    def evaluate(self, mu):
-        phi_x, weights = _phi_weights(self._scores(mu))
-        row = (weights.T @ self.psi).ravel() / self.num_instances
-        raw = float(-self.tau @ mu + self.lam @ np.abs(mu) + phi_x.mean())
-        return raw, row
-
-
-def build_learning_objective_topk(uncertainty, instances, spec):
-    return MaxPhiObjective(uncertainty, instances, spec)
+def build_lower_bound_problem(uncertainty, instances, spec, h):
+    """Best-case expected loss of rule h: lower_from_upper of its upper problem."""
+    return lower_from_upper(build_upper_bound_problem(uncertainty, instances, spec, h))
 
 
 def build_fixed_marginal_problem(uncertainty, train_instances, spec):
-    return MeanPhiObjective(uncertainty, train_instances, spec)
+    """Fixed-instance-marginal objective: the learning problem with phi
+    averaged over the instances instead of maximized."""
+    return dataclasses.replace(
+        build_learning_problem(uncertainty, train_instances, spec), average=True)

@@ -5,15 +5,16 @@ Methods:
   asm           accelerated subgradient method with the extrapolation
                 schedule c_{k+1} = (k+1)^{-3/2}, theta_{k+1} = 2/(k+1),
                 eta_{k+1} = theta_{k+1} (1/theta_k - 1)
-  easm          the same iterates, maintaining F mu + b through rank-one
-                recursions on the precomputed F a, F F^T and 2 F diag(lam)
+  easm          the same iterates, maintaining the n x K scores of the
+                iterates through rank-one updates on the precomputed
+                n x n instance Gram psi psi^T
   easm_restart  easm in segments, each restarted from the incumbent
   lp            exact reformulation solved by the in-house simplex
 
 asm, easm and easm_restart run one loop; they differ only in where the
 value and argmax row at each iterate come from (problem.evaluate, or the
-recursion, which trades the per-iteration matrix-vector product for sparse
-column updates driven by sign changes of mu), so their iterates are
+recursion, which trades the per-iteration feature-matrix product for
+sparse column updates driven by sign changes of mu), so their iterates are
 identical by construction. The recursion's values carry rounding drift, so
 the E-ASM methods re-evaluate the objective exactly at the returned point
 and report that value; the difference is kept as SolverRun.value_drift.
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import PiecewiseLinearProblem
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard_form
 
 
@@ -57,7 +57,7 @@ class SolverConfig:
     divergence_floor: float = -1e9
     lp_max_rows: int = 2000
     lp_max_cols: int = 500
-    easm_budget_bytes: int = 2 << 30   # refuse G = F F^T beyond this
+    easm_budget_bytes: int = 2 << 30   # refuse G = psi psi^T beyond this
 
 
 @dataclass
@@ -223,55 +223,57 @@ def _schedule_arrays(K):
     return c, eta
 
 
-def _require_materialized(problem, config):
-    if not isinstance(problem, PiecewiseLinearProblem):
-        raise SolverError(
-            "the structured methods need a materialized row matrix; "
-            "use bsm or asm for matrix-free objectives"
-        )
-    p = problem.num_rows
-    need = 8 * p * p
-    if need > config.easm_budget_bytes:
-        raise SolverError(
-            f"precomputing the {p}x{p} row Gram matrix needs {need} bytes, "
-            f"over the budget of {config.easm_budget_bytes}; use asm instead"
-        )
+def _require_max(problem, what):
+    if problem.average:
+        raise SolverError(f"{what} needs a max over rows, not an average; "
+                          "use bsm or asm for the fixed-marginal objective")
 
 
 class _Recursion:
-    """E-ASM state: v = F mu + b, w = F y + b and d = F diag(lam) sign(mu).
+    """E-ASM state in score space (n x K arrays, offsets excluded): the
+    scores v of mu and w of y, and the scores `base` of a + lam * sign(mu).
 
-    One accelerated step moves v and w by F g = F a + d + F F[i]^T, read
-    off the precomputed F a, F F^T and H = 2 F diag(lam); a sign change of
-    mu updates d by the matching (half-)columns of H.
+    One accelerated step moves v and w by the scores of the subgradient,
+    base + outer(G[:, i], w_r / s_r) for the argmax row (i, r), with
+    G = psi psi^T the n x n instance Gram; a sign change of mu updates base
+    by the matching psi columns.
     """
 
-    def __init__(self, problem):
-        F = problem.F
+    def __init__(self, problem, config):
+        _require_max(problem, "E-ASM")
+        n = problem.psi.shape[0]
+        if 8 * n * n > config.easm_budget_bytes:
+            raise SolverError(
+                f"precomputing the {n}x{n} instance Gram matrix needs {8 * n * n} "
+                f"bytes, over the budget of {config.easm_budget_bytes}; use asm instead")
         self.problem = problem
-        self.alpha = F @ problem.a
-        self.G = F @ F.T
-        self.H = 2.0 * F * problem.lam
+        self.G = problem.psi @ problem.psi.T
+        self.psi_t = np.ascontiguousarray(problem.psi.T)
+        # lam_j times the class indicator of each component j; (m, K)
+        self.lam_eye = np.repeat(np.eye(problem.num_classes), problem.psi.shape[1],
+                                 axis=0) * problem.lam[:, None]
 
     def start(self, mu):
-        self.v = self.problem.F @ mu + self.problem.b
+        p = self.problem
+        self.v = p.scores(mu)
         self.w = self.v.copy()
         self.s = np.sign(mu)
-        self.d = 0.5 * (self.H @ self.s)
+        self.base = p.scores(p.a + p.lam * self.s)
 
-    def step(self, mu, i, ck, ek, sign, flips):
-        """Value and argmax row at mu, reached by the step (ck, ek) from the
-        iterate whose argmax row was i; sign is sign(mu) and flips indexes
-        its entries that changed."""
-        w_next = self.v - ck * (self.alpha + self.d + self.G[i])
+    def step(self, mu, token, ck, ek, sign, flips):
+        """Value and token at mu, reached by the step (ck, ek) from the
+        iterate whose argmax row was `token`; sign is sign(mu) and flips
+        indexes its entries that changed."""
+        p = self.problem
+        i, r = divmod(token, p.rows_per_instance)
+        w_next = self.v - ck * (self.base + self.G[i][:, None] * p._row_weights(r))
         self.v = (1.0 + ek) * w_next - ek * self.w
         self.w = w_next
         if flips.size:
-            self.d = self.d + self.H[:, flips] @ (0.5 * (sign[flips] - self.s[flips]))
+            coef = self.lam_eye[flips] * (sign[flips] - self.s[flips])[:, None]
+            self.base += self.psi_t[flips % self.psi_t.shape[0]].T @ coef
         self.s = sign
-        i = int(np.argmax(self.v))
-        p = self.problem
-        return float(p.a @ mu + p.lam @ np.abs(mu) + self.v[i]), i
+        return p._value_at(mu, self.v)
 
 
 def _accelerated(problem, config, mu, iters, recursion, rec, incumbent):
@@ -329,9 +331,8 @@ def _solve_accelerated(problem, config, method, period=None):
     recursion = None
     timings = {}
     if method != "asm":
-        _require_materialized(problem, config)
         t0 = time.perf_counter()
-        recursion = _Recursion(problem)
+        recursion = _Recursion(problem, config)
         timings["precompute_seconds"] = time.perf_counter() - t0
     mu = _start_point(problem, config)
     rec = _RunRecorder(config, mu.size)
@@ -392,8 +393,7 @@ def solve_lp(problem, config):
     Variables (mu1, mu2, nu+, nu-, slack) with mu = mu1 - mu2; the slack
     basis built from nu is feasible, so no phase-1 pass is needed.
     """
-    if not isinstance(problem, PiecewiseLinearProblem):
-        raise SolverError("the LP path needs a materialized problem")
+    _require_max(problem, "the LP path")
     p = problem.num_rows
     m = problem.dimension
     if p > config.lp_max_rows or m > config.lp_max_cols:
@@ -402,21 +402,22 @@ def solve_lp(problem, config):
             f"(p <= {config.lp_max_rows}, m <= {config.lp_max_cols})"
         )
     t0 = time.perf_counter()
+    F, b = problem.F, problem.b
     A = np.zeros((p, 2 * m + 2 + p))
-    A[:, :m] = problem.F
-    A[:, m:2 * m] = -problem.F
+    A[:, :m] = F
+    A[:, m:2 * m] = -F
     A[:, 2 * m] = -1.0
     A[:, 2 * m + 1] = 1.0
     A[:, 2 * m + 2:] = np.eye(p)
-    rhs = -problem.b
+    rhs = -b
     cost = np.concatenate([
         problem.a + problem.lam, -problem.a + problem.lam,
         [1.0, -1.0], np.zeros(p),
     ])
     # Feasible start: mu = 0, nu = max(b, 0) basic in the argmax-b row.
-    bmax_row = int(np.argmax(problem.b))
+    bmax_row = int(np.argmax(b))
     basis = 2 * m + 2 + np.arange(p)
-    if problem.b[bmax_row] > 0:
+    if b[bmax_row] > 0:
         basis[bmax_row] = 2 * m
 
     result = solve_standard_form(cost, A, rhs, basis=basis)

@@ -22,6 +22,14 @@ def make_blobs(n, d=2, num_classes=2, spread=1.0, sep=3.0, seed=0):
                    tuple(str(c + 1) for c in range(num_classes)))
 
 
+def row_problem(a, lam, F, b, constant=0.0):
+    """A generic problem max(F mu + b): every row of F is an instance of its
+    own with the single class weight [[1]]."""
+    return objective.PiecewiseLinearProblem(
+        a=a, lam=lam, psi=F, weights=np.ones((1, 1)),
+        offsets=np.reshape(b, (-1, 1)), constant=constant)
+
+
 def random_learning_problem(seed, n=40, d=3, num_classes=2, lambda0=0.3,
                             kind="identity", D=8):
     """A materialized learning problem from synthetic data (benign scaling)."""

@@ -16,10 +16,10 @@ from mrckit import classifier, estimate, features, objective
 from mrckit.classifier import exact_risk_finite
 from mrckit.cli import main as cli_main
 from mrckit.dataset import load_csv, save_csv
-from mrckit.objective import PiecewiseLinearProblem
 from mrckit.solver import (SolverConfig, solve, solve_asm, solve_easm,
                            solve_easm_restart, solve_lp)
-from conftest import enumerate_phi, make_blobs, random_learning_problem
+from conftest import (enumerate_phi, make_blobs, random_learning_problem,
+                      row_problem)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -31,7 +31,7 @@ def report(num, ok, desc):
 
 def random_plp(seed, m, p):
     rng = np.random.default_rng(seed)
-    return PiecewiseLinearProblem(
+    return row_problem(
         a=rng.normal(size=m) * 0.1,
         lam=np.abs(rng.normal(size=m)) * 0.3 + 0.02,
         F=rng.normal(size=(p, m)) / np.sqrt(m),

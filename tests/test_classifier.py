@@ -191,6 +191,25 @@ def test_bounds_for_rule_uniform_large_lambda():
     assert abs(rb.upper_raw - 0.5) < 1e-9
 
 
+def test_bounds_for_rule_maps_anchor_once(monkeypatch):
+    # the lower-bound problem reuses the upper problem's scalar features
+    ds = make_blobs(20, d=2, seed=4)
+    spec = features.identity_spec(2, 2)
+    tau, var = estimate.mean_vector(ds.instances, ds.labels, spec)
+    unc = estimate.UncertaintySet(tau, np.full(4, 0.1))
+    calls = []
+    mapper = features.scalar_feature_matrix
+
+    def counting(spec, X):
+        calls.append(np.atleast_2d(X).shape[0])
+        return mapper(spec, X)
+
+    monkeypatch.setattr(features, "scalar_feature_matrix", counting)
+    rb = bounds_for_rule(unc, ds.instances, spec, np.full((20, 2), 0.5), LP)
+    assert calls == [20]
+    assert rb.lower_raw <= rb.upper_raw + 1e-9
+
+
 def test_upper_bound_of_learned_rule_matches_training(rng):
     # solving the generic upper-bound problem at h = learned rule must
     # reproduce the learning optimum (two solve paths, one number)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from mrckit import classifier, cli
 from mrckit.cli import main
 from mrckit.dataset import save_csv
 from conftest import make_blobs
@@ -62,6 +63,20 @@ def test_train_report_p_null_for_fixed_marginal(blob_csv, tmp_path):
     assert report["p"] is None  # matrix-free objective: no rows built
 
 
+def test_train_default_solver_four_classes_1500_rows(tmp_path):
+    # E-ASM's Gram is n x n (18 MB here), not p x p over n (2^K - 1) rows
+    ds = make_blobs(1500, d=2, num_classes=4, seed=3)
+    path = tmp_path / "k4.csv"
+    save_csv(ds, path)
+    out = tmp_path / "k4"
+    code = run_cli("train", "--data", str(path), "--out", str(out), "--D", "5",
+                   "--max-iters", "30", "--seed", "1")
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["p"] == 1500 * 15
+    assert report["solver"]["method"] == "easm_restart"
+
+
 def test_train_deterministic_model_bytes(blob_csv, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     run_cli(*train_args(blob_csv, out1))
@@ -83,6 +98,24 @@ def test_predict_command(blob_csv, tmp_path):
     assert rows[0] == ["label", "p_1", "p_2"]
     assert len(rows) == 61
     assert rows[1][0] in ("1", "2")
+
+
+def test_predict_chunked_matches_library(blob_csv, tmp_path, monkeypatch):
+    out = str(tmp_path / "out")
+    run_cli(*train_args(blob_csv, out))
+    model_path = os.path.join(out, "model.json")
+    monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", 7)
+    code = run_cli("predict", "--model", model_path, "--data", blob_csv,
+                   "--out", str(tmp_path / "pred"), "--proba")
+    assert code == 0
+    with open(tmp_path / "pred" / "predictions.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    model = classifier.load_model(model_path)
+    X = np.loadtxt(blob_csv, delimiter=",")[:, :-1]
+    names = [model.label_names[lab - 1] for lab in classifier.predict(model, X)]
+    assert [row[0] for row in rows] == names
+    proba = np.array([[float(v) for v in row[1:]] for row in rows])
+    assert np.allclose(proba, classifier.predict_proba(model, X), rtol=0, atol=1e-15)
 
 
 def test_predict_rejects_non_finite_values(blob_csv, tmp_path, capsys):
@@ -235,6 +268,9 @@ def test_bench_solvers(blob_csv, tmp_path):
     for name in methods:
         assert methods[name]["best_value"] >= rep["lp_optimum"] - 1e-9
         assert methods[name]["gamma"] is not None
+        assert methods[name]["precompute_seconds"] >= 0.0
+    assert methods["bsm"]["precompute_seconds"] == 0.0
+    assert methods["easm"]["precompute_seconds"] > 0.0
     # accelerated traces identical per iteration between asm and easm
     with open(methods["asm"]["trace"]) as fh:
         asm_best = [row[2] for row in list(csv.reader(fh))[1:]]

@@ -3,7 +3,6 @@ import pytest
 
 from mrckit import estimate, features, objective
 from mrckit.objective import (build_fixed_marginal_problem,
-                              build_learning_objective_topk,
                               build_learning_problem,
                               build_lower_bound_problem,
                               build_upper_bound_problem, phi, phi_at_x)
@@ -111,16 +110,17 @@ def test_subset_cap():
     spec = features.identity_spec(13, 1)
     X = rng.normal(size=(2, 1))
     unc = estimate.UncertaintySet(np.zeros(13), np.zeros(13))
-    with pytest.raises(ValueError, match="top"):
-        build_learning_problem(unc, X, spec)
-    # the matrix-free route still works
-    obj = build_learning_objective_topk(unc, X, spec)
+    # past the cap the subset rows come from the top-k rule
+    obj = build_learning_problem(unc, X, spec)
+    assert obj.weights is None and obj.num_rows == 2 * (2 ** 13 - 1)
     assert abs(obj.objective(np.zeros(13)) - (1 - 1.0 / 13)) < 1e-12
 
 
-def test_topk_objective_matches_materialized(rng):
+def test_topk_objective_matches_materialized(rng, monkeypatch):
     problem, unc, X, y, spec = random_learning_problem(seed=3, n=5, num_classes=3)
-    topk = build_learning_objective_topk(unc, X, spec)
+    monkeypatch.setattr(objective, "SUBSET_ENUMERATION_CAP", 2)
+    topk = build_learning_problem(unc, X, spec)
+    assert problem.weights is not None and topk.weights is None
     for _ in range(10):
         mu = rng.normal(size=problem.dimension)
         assert abs(problem.objective(mu) - topk.objective(mu)) <= 1e-12
@@ -203,3 +203,64 @@ def test_scale_covariance_of_argmax_rows(rng):
     v2 = (factor * problem.F) @ (mu / factor)
     assert np.allclose(v1, v2, atol=1e-12)
     assert np.argmax(v1 + problem.b) == np.argmax(v2 + problem.b)
+
+
+def materialized_rows(psi, K, masks):
+    """Rows matrix of `masks` label subsets over psi, built row by row."""
+    s, B = psi.shape
+    F = np.zeros((s, len(masks), K * B))
+    b = np.empty((s, len(masks)))
+    for mi, mask in enumerate(masks):
+        members = [c for c in range(K) if mask >> c & 1]
+        for c in members:
+            F[:, mi, c * B:(c + 1) * B] = psi / len(members)
+        b[:, mi] = -1.0 / len(members)
+    return F.reshape(s * len(masks), K * B), b.reshape(-1)
+
+
+def test_views_match_independent_materialization(rng):
+    for K in (2, 3, 4):
+        problem, unc, X, y, spec = random_learning_problem(
+            seed=K, n=6, num_classes=K, kind="rff", D=3)
+        psi = features.scalar_feature_matrix(spec, X)
+        F, b = materialized_rows(psi, K, range(1, 2 ** K))
+        assert problem.num_rows == F.shape[0]
+        assert problem.F.tobytes() == F.tobytes()
+        assert problem.b.tobytes() == b.tobytes()
+    h = rng.uniform(size=(6, 4))
+    up = build_upper_bound_problem(unc, X, spec, h)
+    low = build_lower_bound_problem(unc, X, spec, h)
+    singletons = [1 << c for c in range(4)]
+    F_up, _ = materialized_rows(psi, 4, singletons)
+    F_low, _ = materialized_rows(-psi, 4, singletons)
+    assert up.F.tobytes() == F_up.tobytes()
+    assert up.b.tobytes() == (-h).reshape(-1).tobytes()
+    assert low.F.tobytes() == F_low.tobytes()
+    assert low.b.tobytes() == h.reshape(-1).tobytes()
+    assert np.array_equal(low.F, -up.F)  # the exact negation, up to signed zeros
+
+
+def test_fixed_marginal_subgradient_matches_enumeration(rng):
+    problem, unc, X, y, spec = random_learning_problem(seed=8, n=7, num_classes=3)
+    fm = build_fixed_marginal_problem(unc, X, spec)
+    psi = features.scalar_feature_matrix(spec, X)
+    B = psi.shape[1]
+    for _ in range(10):
+        mu = rng.normal(size=fm.dimension)
+        scores = features.score_matrix(spec, X, mu)
+        want = -unc.tau + unc.lam * np.sign(mu)
+        best_rows = []
+        for i in range(X.shape[0]):
+            best, best_mask = -np.inf, None
+            for mask in range(1, 2 ** 3):
+                members = [c for c in range(3) if mask >> c & 1]
+                val = (scores[i, members].sum() - 1.0) / len(members)
+                if val > best:
+                    best, best_mask = val, mask
+            best_rows.append(best_mask - 1)
+            members = [c for c in range(3) if best_mask >> c & 1]
+            for c in members:
+                want[c * B:(c + 1) * B] += psi[i] / len(members) / X.shape[0]
+        raw, token = fm.evaluate(mu)
+        assert np.array_equal(token, best_rows)  # each instance's argmax row
+        assert np.allclose(fm.subgradient_from(mu, token), want, atol=1e-12)

@@ -1,31 +1,30 @@
 import numpy as np
 import pytest
 
-from mrckit.objective import PiecewiseLinearProblem
 from mrckit.solver import (DivergenceError, SolverConfig, SolverError,
                            UnboundedObjectiveError, _schedule_arrays, solve,
                            solve_asm, solve_bsm, solve_easm,
                            solve_easm_restart, solve_lp,
                            subgradient)
-from conftest import random_learning_problem
+from conftest import random_learning_problem, row_problem
 
 
 def abs_value_problem():
     """f(mu) = |mu| via rows (mu, -mu)."""
-    return PiecewiseLinearProblem(
+    return row_problem(
         a=np.zeros(1), lam=np.zeros(1),
         F=np.array([[1.0], [-1.0]]), b=np.zeros(2))
 
 
 def unbounded_problem():
-    return PiecewiseLinearProblem(
+    return row_problem(
         a=np.array([-1.0]), lam=np.array([0.5]),
         F=np.array([[0.0]]), b=np.array([0.0]))
 
 
 def random_plp(rng, m=20, p=60):
     """Generic benign random problem with a bounded minimum."""
-    return PiecewiseLinearProblem(
+    return row_problem(
         a=rng.normal(size=m) * 0.1,
         lam=np.abs(rng.normal(size=m)) * 0.3 + 0.05,
         F=rng.normal(size=(p, m)) / np.sqrt(m),
@@ -35,7 +34,7 @@ def random_plp(rng, m=20, p=60):
 
 def test_subgradient_assembly():
     # at mu = (2, -3) the first row scores -0.5, the second -1: row (0.5, 0.5) wins
-    problem = PiecewiseLinearProblem(
+    problem = row_problem(
         a=np.array([1.0, -1.0]), lam=np.array([0.1, 0.1]),
         F=np.array([[0.5, 0.5], [1.0, 1.0]]), b=np.zeros(2))
     g = subgradient(problem, np.array([2.0, -3.0]))
@@ -43,7 +42,7 @@ def test_subgradient_assembly():
 
 
 def test_subgradient_sign_zero_and_ties():
-    problem = PiecewiseLinearProblem(
+    problem = row_problem(
         a=np.array([0.3]), lam=np.array([1.0]),
         F=np.array([[2.0], [2.0]]), b=np.zeros(2))
     g = subgradient(problem, np.zeros(1))
@@ -60,7 +59,7 @@ def test_bsm_on_abs_value():
 
 
 def test_bsm_constant_objective_stops():
-    problem = PiecewiseLinearProblem(
+    problem = row_problem(
         a=np.zeros(1), lam=np.zeros(1), F=np.zeros((1, 1)), b=np.zeros(1))
     run = solve_bsm(problem, SolverConfig(max_iters=100))
     assert run.status == "stationary"
@@ -96,7 +95,7 @@ def test_easm_requires_materialized():
     spec = features.identity_spec(2, 1)
     unc = estimate.UncertaintySet(np.zeros(2), np.zeros(2))
     fm = objective.build_fixed_marginal_problem(unc, np.ones((2, 1)), spec)
-    with pytest.raises(SolverError, match="materialized"):
+    with pytest.raises(SolverError, match="max over rows"):
         solve_easm(fm, SolverConfig(max_iters=10))
 
 
@@ -149,6 +148,17 @@ def test_asm_easm_iterate_identity(rng):
     assert np.max(diff / scale) <= 1e-9
 
 
+def test_easm_matches_asm_past_subset_cap():
+    # K = 13 > SUBSET_ENUMERATION_CAP: argmax rows come from the top-k rule
+    problem, *_ = random_learning_problem(seed=12, n=8, num_classes=13)
+    assert problem.weights is None
+    cfg = SolverConfig(max_iters=300, record_iterates=True)
+    asm = solve_asm(problem, cfg)
+    easm = solve_easm(problem, cfg)
+    assert np.allclose(asm.iterates, easm.iterates, atol=1e-10)
+    assert easm.best_value == problem.objective(easm.best_mu)
+
+
 def test_easm_matches_asm_on_random_plp(rng):
     for seed in range(3):
         problem = random_plp(np.random.default_rng(seed), m=15, p=40)
@@ -191,7 +201,7 @@ def test_restart_extends_reach_with_full_reset():
     # optimum far beyond what one segment can travel: restarting the
     # schedule at full scale accumulates reach across segments
     t = 300.0
-    problem = PiecewiseLinearProblem(
+    problem = row_problem(
         a=np.zeros(1), lam=np.zeros(1),
         F=np.array([[1.0], [-1.0]]), b=np.array([-t, t]))
     plain = solve_easm(problem, SolverConfig(max_iters=2000))
