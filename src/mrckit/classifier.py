@@ -249,19 +249,28 @@ def rule_from_scores(model, scores):
     where every score falls below it; the fixed-marginal variant thresholds
     each instance at its own support-function value.
     """
-    labels = np.argmax(scores, axis=1) + 1
-    if model.variant != "fixed_marginal":
-        return labels, _rule_matrix_from_scores(scores, model.phi_star,
-                                                model.num_classes)
-    phi_x = objective.phi_per_instance(scores)
-    h = np.maximum(scores - phi_x[:, None], 0.0)
-    sums = h.sum(axis=1)
-    off = np.abs(sums - 1.0) > 1e-9
-    if np.any(off):
-        log.warning("renormalizing %d rule rows that summed off 1 by >1e-9",
-                    int(off.sum()))
-        h[off] /= sums[off, None]
-    return labels, h
+    (rule,) = rules_by_chunk(model, [scores])  # unpacking runs it to the end
+    return rule
+
+
+def rules_by_chunk(model, score_chunks):
+    """rule_from_scores of each score matrix in `score_chunks`, one (labels, h)
+    per chunk; rows renormalized by the fixed-marginal rule are reported in
+    one warning after the last chunk."""
+    renormalized = 0
+    for scores in score_chunks:
+        labels = np.argmax(scores, axis=1) + 1
+        if model.variant != "fixed_marginal":
+            h = _rule_matrix_from_scores(scores, model.phi_star, model.num_classes)
+        else:
+            h = np.maximum(scores - objective.phi_per_instance(scores)[:, None], 0.0)
+            sums = h.sum(axis=1)
+            off = np.abs(sums - 1.0) > 1e-9
+            h[off] /= sums[off, None]
+            renormalized += int(off.sum())
+        yield labels, h
+    if renormalized:
+        log.warning("renormalizing %d rule rows that summed off 1 by >1e-9", renormalized)
 
 
 def predict_proba(model, X):
@@ -339,7 +348,7 @@ def deterministic_rule_matrix(model, instances_normalized):
     """One-hot matrix of the deterministic rule over normalized instances."""
     scores = features.score_matrix(model.feature_spec, instances_normalized,
                                    model.mu_star)
-    return np.eye(model.num_classes)[rule_from_scores(model, scores)[0] - 1]
+    return np.eye(model.num_classes)[np.argmax(scores, axis=1)]
 
 
 def randomized_rule_matrix(model, instances_normalized):

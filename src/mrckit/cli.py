@@ -240,9 +240,9 @@ def cmd_predict(args):
         if args.proba:
             head += [f"p_{name}" for name in model.label_names]
         writer.writerow(head)
-        for start in range(0, X.shape[0], PREDICT_CHUNK_ROWS):
-            labels, proba = classifier.rule_from_scores(model, classifier.batch_scores(
-                model, X[start:start + PREDICT_CHUNK_ROWS]))
+        chunks = (classifier.batch_scores(model, X[start:start + PREDICT_CHUNK_ROWS])
+                  for start in range(0, X.shape[0], PREDICT_CHUNK_ROWS))
+        for labels, proba in classifier.rules_by_chunk(model, chunks):
             for i, lab in enumerate(labels):
                 row = [model.label_names[lab - 1]]
                 if args.proba:

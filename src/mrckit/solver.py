@@ -409,7 +409,6 @@ def solve_lp(problem, config):
     A[:, 2 * m] = -1.0
     A[:, 2 * m + 1] = 1.0
     A[:, 2 * m + 2:] = np.eye(p)
-    rhs = -b
     cost = np.concatenate([
         problem.a + problem.lam, -problem.a + problem.lam,
         [1.0, -1.0], np.zeros(p),
@@ -420,7 +419,7 @@ def solve_lp(problem, config):
     if b[bmax_row] > 0:
         basis[bmax_row] = 2 * m
 
-    result = solve_standard_form(cost, A, rhs, basis=basis)
+    result = solve_standard_form(cost, A, -b, basis=basis)
     if result.status == UNBOUNDED:
         raise UnboundedObjectiveError(
             "the objective is unbounded below; the restricted uncertainty "

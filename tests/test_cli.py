@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mrckit import classifier, cli
+from mrckit import classifier, cli, objective
 from mrckit.cli import main
 from mrckit.dataset import save_csv
 from conftest import make_blobs
@@ -116,6 +116,23 @@ def test_predict_chunked_matches_library(blob_csv, tmp_path, monkeypatch):
     assert [row[0] for row in rows] == names
     proba = np.array([[float(v) for v in row[1:]] for row in rows])
     assert np.allclose(proba, classifier.predict_proba(model, X), rtol=0, atol=1e-15)
+
+
+def test_predict_chunked_warns_once(blob_csv, tmp_path, monkeypatch, caplog):
+    out = str(tmp_path / "fm")
+    run_cli("train", "--data", blob_csv, "--out", out, "--features", "identity",
+            "--solver", "asm", "--max-iters", "200", "--variant", "fixed-marginal",
+            "--seed", "1")
+    # a support value 0.5 too low makes every rule row sum off 1
+    phi_per_instance = objective.phi_per_instance
+    monkeypatch.setattr(objective, "phi_per_instance",
+                        lambda scores: phi_per_instance(scores) - 0.5)
+    monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", 7)
+    code = run_cli("predict", "--model", os.path.join(out, "model.json"),
+                   "--data", blob_csv, "--out", str(tmp_path / "pred"))
+    assert code == 0
+    warned = [r.getMessage() for r in caplog.records if "renormalizing" in r.getMessage()]
+    assert warned == ["renormalizing 60 rule rows that summed off 1 by >1e-9"]
 
 
 def test_predict_rejects_non_finite_values(blob_csv, tmp_path, capsys):
