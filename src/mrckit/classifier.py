@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import estimate, features, objective
+from . import estimate, features, objective, parallel
 from .dataset import NormalizationStats, apply_normalizer, fit_normalizer
 from .solver import (SolverConfig, UnboundedObjectiveError, DivergenceError,
                      solve)
@@ -157,10 +157,14 @@ def fit(uncertainty, anchor, spec, solver_config, *, variant="standard",
         raise ValueError(f"unknown repair policy {repair!r}")
     if variant not in ("standard", "fixed_marginal"):
         raise ValueError(f"unknown variant {variant!r}")
-    unc, run, rows, notices = _solve_learning(
+    unc, run, problem, notices = _solve_learning(
         uncertainty, anchor, spec, solver_config, variant, repair)
+    # phi* and the rule come from the anchor's scores under mu*, read off the
+    # learning problem's own scalar features
+    scores = problem.scores(run.best_mu)
     model = MrcModel(
-        mu_star=run.best_mu, phi_star=objective.phi(run.best_mu, anchor, spec),
+        mu_star=run.best_mu,
+        phi_star=float(objective.phi_per_instance(scores).max()),
         minimax_risk=_clamp(run.best_value), lower_bound=None,
         uncertainty=unc, feature_spec=spec, normalization=normalization,
         instance_anchor=anchor, label_names=label_names, variant=variant,
@@ -172,10 +176,11 @@ def fit(uncertainty, anchor, spec, solver_config, *, variant="standard",
             "upper_certificate": run.certificate,
             "notices": notices,
         },
-        training_trace=run.trace, learning_rows=rows,
+        training_trace=run.trace,
+        learning_rows=None if problem.average else problem.num_rows,
     )
     if compute_lower and variant == "standard":
-        h = randomized_rule_matrix(model, anchor)
+        h = _rule_matrix_from_scores(scores, model.phi_star, model.num_classes)
         low_problem = objective.build_lower_bound_problem(unc, anchor, spec, h)
         low_run = solve(low_problem, solver_config)
         model.raw_bounds["lower"] = low_problem.reported_value(low_run.best_value)
@@ -188,8 +193,7 @@ def fit(uncertainty, anchor, spec, solver_config, *, variant="standard",
 def _solve_learning(unc, anchor, spec, solver_config, variant, repair):
     """Build and minimize the learning objective, repairing per `repair`.
 
-    Returns (uncertainty set used, run, rows of the learning problem or
-    None for the fixed-marginal objective, notices).
+    Returns (uncertainty set used, run, the problem it minimized, notices).
     """
     notices = []
     if repair == "always":
@@ -212,7 +216,7 @@ def _solve_learning(unc, anchor, spec, solver_config, variant, repair):
         unc, _ = _repair(unc, anchor, spec)
         problem = build(unc, anchor, spec)
         run = solve(problem, solver_config)
-    return unc, run, None if problem.average else problem.num_rows, notices
+    return unc, run, problem, notices
 
 
 def _repair(unc, anchor_X, spec):
@@ -331,8 +335,12 @@ def bounds_for_rule(uncertainty, instances, spec, h, solver_config=None):
         solver_config = SolverConfig()
     high = objective.build_upper_bound_problem(uncertainty, instances, spec, h)
     low = objective.lower_from_upper(high)
-    low_run = solve(low, solver_config)
-    high_run = solve(high, solver_config)
+    # The two solves are independent, and subgradient solves run side by
+    # side. Two simplex solves were measured slower side by side than one
+    # after the other: their dense BLAS products already use every CPU, and
+    # the lower LP takes most of the pivots.
+    pair = map if solver_config.method == "lp" else parallel.ordered_map
+    low_run, high_run = pair(lambda problem: solve(problem, solver_config), [low, high])
     lower_raw = low.reported_value(low_run.best_value)
     upper_raw = high_run.best_value
     return RuleBounds(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, classifier, estimate, features, objective
+from . import __version__, classifier, estimate, features, objective, parallel
 from .dataset import (DataError, load_csv, load_features, stratified_folds,
                       stratified_split)
 from .simplex import SimplexError
@@ -75,6 +75,8 @@ def build_parser():
     p_train.add_argument("--repair", choices=["auto", "always", "never"],
                          default="auto")
     p_train.add_argument("--trace-every", type=int, default=100)
+    # without --solver, train picks the solver from the variant
+    p_train.set_defaults(solver=None)
 
     p_pred = sub.add_parser("predict", help="predict labels with a saved model")
     p_pred.add_argument("--model", required=True)
@@ -192,6 +194,8 @@ def _write_trace_csv(path, trace):
 
 
 def cmd_train(args):
+    if args.solver is None:  # E-ASM and the LP need a max over rows
+        args.solver = "asm" if args.variant == "fixed-marginal" else "easm-restart"
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = load_csv(args.data, has_header=args.has_header)
@@ -306,25 +310,26 @@ def cmd_sweep_lambda(args):
     grid = _parse_grid(args.lambda0_grid, float)
     data = load_csv(args.data, has_header=args.has_header)
     folds = stratified_folds(data, args.folds, args.seed)
+    cfg = _solver_config_from_args(args)
+
+    def fold_metrics(cell):
+        gi, fi = cell
+        fold = folds[fi]
+        train_rows = np.setdiff1d(np.arange(data.n), fold)
+        spec = _spec_from_args(args, data, seed_counter=1 + gi * len(folds) + fi)
+        model = classifier.train(
+            data.subset(train_rows), spec, lambda_mode="practical",
+            lambda0=grid[gi], delta=args.delta, solver_config=cfg)
+        metrics = classifier.evaluate(model, data.subset(fold))
+        return (model.minimax_risk, model.lower_bound,
+                metrics["randomized_risk"], metrics["deterministic_error"])
+
+    cells = [(gi, fi) for gi in range(len(grid)) for fi in range(len(folds))]
+    per_fold = parallel.ordered_map(fold_metrics, cells)
     rows = []
     for gi, lam0 in enumerate(grid):
-        acc = {"upper": [], "lower": [], "risk": [], "err": []}
-        for fi, fold in enumerate(folds):
-            test = data.subset(fold)
-            train_rows = np.setdiff1d(np.arange(data.n), fold)
-            train_set = data.subset(train_rows)
-            spec = _spec_from_args(args, data, seed_counter=1 + gi * len(folds) + fi)
-            cfg = _solver_config_from_args(args)
-            model = classifier.train(
-                train_set, spec, lambda_mode="practical", lambda0=lam0,
-                delta=args.delta, solver_config=cfg)
-            metrics = classifier.evaluate(model, test)
-            acc["upper"].append(model.minimax_risk)
-            acc["lower"].append(model.lower_bound)
-            acc["risk"].append(metrics["randomized_risk"])
-            acc["err"].append(metrics["deterministic_error"])
-        rows.append([lam0, float(np.mean(acc["upper"])), float(np.mean(acc["lower"])),
-                     float(np.mean(acc["risk"])), float(np.mean(acc["err"]))])
+        mine = per_fold[gi * len(folds):(gi + 1) * len(folds)]
+        rows.append([lam0] + [float(np.mean(col)) for col in zip(*mine)])
     table_path = out_dir / "sweep_lambda.csv"
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -343,6 +348,10 @@ def cmd_reduce_study(args):
     data = load_csv(args.data, has_header=args.has_header)
     spec = _spec_from_args(args, data)
     pool = _anchor_from_args(args)
+    pool_n = data.n if pool is None else pool.shape[0]
+    for s in sizes:  # before any solve
+        if s > pool_n:
+            raise DataError(f"anchor subset size {s} exceeds the pool size {pool_n}")
 
     # tau and lambda are fixed once from the training data.
     cfg = _solver_config_from_args(args)
@@ -351,26 +360,30 @@ def cmd_reduce_study(args):
         delta=args.delta, solver_config=cfg,
         anchor=pool, repair="always", compute_lower=False)
     upper_full = model_full.raw_bounds["upper"]
-    pool_n = model_full.instance_anchor.shape[0]
     unc = model_full.uncertainty
     spec = model_full.feature_spec
 
-    rows = []
+    # the subsets are drawn here, in order, and fitted side by side
+    cells, subsets = [], []
     counter = 0
     for s in sizes:
-        if s > pool_n:
-            raise DataError(f"anchor subset size {s} exceeds the pool size {pool_n}")
         eps = classifier.epsilon_s(s, unc.m, data.num_classes, args.delta)
         for rep in range(args.reps):
             counter += 1
             rng = np.random.default_rng(child_seed(args.seed, counter))
             idx = rng.choice(pool_n, size=s, replace=False) if s < pool_n \
                 else np.arange(pool_n)
-            model = classifier.fit(unc, model_full.instance_anchor[idx], spec,
-                                   cfg, repair="always")
-            upper_s = model.raw_bounds["upper"]
-            rows.append([s, rep, upper_s, model.raw_bounds["lower"],
-                         abs(upper_s - upper_full), eps])
+            cells.append((s, rep, eps))
+            subsets.append(idx)
+
+    def subset_bounds(idx):
+        model = classifier.fit(unc, model_full.instance_anchor[idx], spec, cfg,
+                               repair="always")
+        return model.raw_bounds["upper"], model.raw_bounds["lower"]
+
+    rows = [[s, rep, upper_s, lower_s, abs(upper_s - upper_full), eps]
+            for (s, rep, eps), (upper_s, lower_s)
+            in zip(cells, parallel.ordered_map(subset_bounds, subsets))]
     table_path = out_dir / "reduce_study.csv"
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -430,8 +443,7 @@ def cmd_model_select(args):
     if args.features != "rff":
         raise DataError("model-select tunes the kernel scale; use --features rff")
 
-    results = []
-    for split_i in range(args.splits):
+    def split_result(split_i):
         train_set, test_set = stratified_split(
             data, args.test_fraction, seed=child_seed(args.seed, split_i))
         grid = _sigma_grid(args, train_set, split_i)
@@ -460,12 +472,14 @@ def cmd_model_select(args):
             train_set, spec, lambda_mode=args.lambda_mode,
             lambda0=args.lambda0, delta=args.delta, solver_config=final_cfg)
         metrics = classifier.evaluate(model, test_set)
-        results.append({
+        return {
             "split": split_i, "sigma": sigma_star,
             "upper_bound": model.minimax_risk,
             "lower_bound": model.lower_bound,
             **metrics,
-        })
+        }
+
+    results = parallel.ordered_map(split_result, range(args.splits))
     det = [r["deterministic_error"] for r in results]
     rand = [r["randomized_risk"] for r in results]
     report = _report_base(args)
@@ -534,7 +548,7 @@ def main(argv=None):
     except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SolverError, SimplexError) as exc:
+    except (SolverError, SimplexError, parallel.WorkerError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

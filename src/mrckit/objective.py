@@ -133,8 +133,11 @@ class PiecewiseLinearProblem:
         """Objective value (constant excluded) and the argmax token."""
         return self._value_at(mu, self.scores(mu))
 
-    def subgradient_from(self, mu, token):
-        g = self.a + self.lam * np.sign(mu)
+    def subgradient_from(self, mu, token, sign=None):
+        """Subgradient at mu for the argmax token; `sign` may pass sign(mu)."""
+        if sign is None:
+            sign = np.sign(mu)
+        g = self.a + self.lam * sign
         if self.average:
             g += (self._row_weights(token).T @ self.psi).ravel() / self.psi.shape[0]
             return g

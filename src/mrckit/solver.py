@@ -263,13 +263,13 @@ class _Recursion:
     def step(self, mu, token, ck, ek, sign, flips):
         """Value and token at mu, reached by the step (ck, ek) from the
         iterate whose argmax row was `token`; sign is sign(mu) and flips
-        indexes its entries that changed."""
+        indexes its entries that changed (None when none did)."""
         p = self.problem
         i, r = divmod(token, p.rows_per_instance)
         w_next = self.v - ck * (self.base + self.G[i][:, None] * p._row_weights(r))
         self.v = (1.0 + ek) * w_next - ek * self.w
         self.w = w_next
-        if flips.size:
+        if flips is not None:
             coef = self.lam_eye[flips] * (sign[flips] - self.s[flips])[:, None]
             self.base += self.psi_t[flips % self.psi_t.shape[0]].T @ coef
         self.s = sign
@@ -298,25 +298,26 @@ def _accelerated(problem, config, mu, iters, recursion, rec, incumbent):
     rec.start(constant + best_raw)
     rec.snapshot_mu(mu)
     y = mu
-    prev_sign = np.sign(mu)
+    sign = np.sign(mu)
     for k in range(1, iters + 1):
-        g = problem.subgradient_from(mu, token)
+        g = problem.subgradient_from(mu, token, sign)
         ck, ek = c[k - 1], eta[k - 1]
         y_next = mu - ck * g
         mu = (1.0 + ek) * y_next - ek * y
         y = y_next
-        sign = np.sign(mu)
-        flips = np.flatnonzero(sign != prev_sign)
+        prev_sign, sign = sign, np.sign(mu)
+        changed = sign != prev_sign
+        nflips = int(np.count_nonzero(changed))
         if recursion is None:
             raw, token = problem.evaluate(mu)
         else:
+            flips = np.flatnonzero(changed) if nflips else None
             raw, token = recursion.step(mu, token, ck, ek, sign, flips)
         _check_value(raw, constant, floor)
         if raw < best_raw:
             best_raw = raw
             best_mu = mu.copy()
-        rec.step(k, constant + best_raw, flips.size)
-        prev_sign = sign
+        rec.step(k, constant + best_raw, nflips)
         rec.snapshot_mu(mu)
     return constant + best_raw, best_mu
 

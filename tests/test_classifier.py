@@ -10,7 +10,7 @@ from mrckit.classifier import (MrcModel, bounds_for_rule, diagnostics,
                                load_model, predict, predict_proba, save_model,
                                train)
 from mrckit.dataset import Dataset
-from mrckit.solver import SolverConfig
+from mrckit.solver import SolverConfig, solve
 from conftest import finite_distribution, make_blobs
 
 LP = SolverConfig(method="lp")
@@ -208,6 +208,29 @@ def test_bounds_for_rule_maps_anchor_once(monkeypatch):
     rb = bounds_for_rule(unc, ds.instances, spec, np.full((20, 2), 0.5), LP)
     assert calls == [20]
     assert rb.lower_raw <= rb.upper_raw + 1e-9
+
+
+def test_train_maps_anchor_three_times(monkeypatch):
+    # estimate, learning problem, lower problem; phi* and the rule are read
+    # off the learning problem's scores
+    ds = make_blobs(20, d=2, seed=4)
+    spec = features.rff_spec(2, 2, D=5, seed=1)
+    calls = []
+    mapper = features.scalar_feature_matrix
+
+    def counting(spec, X):
+        calls.append(np.atleast_2d(X).shape[0])
+        return mapper(spec, X)
+
+    monkeypatch.setattr(features, "scalar_feature_matrix", counting)
+    model = train(ds, spec, solver_config=LP)
+    assert calls == [20, 20, 20]
+    monkeypatch.undo()
+    Xn = model.instance_anchor
+    assert model.phi_star == objective.phi(model.mu_star, Xn, spec)
+    rule = classifier.randomized_rule_matrix(model, Xn)
+    low = objective.build_lower_bound_problem(model.uncertainty, Xn, spec, rule)
+    assert low.reported_value(solve(low, LP).best_value) == model.raw_bounds["lower"]
 
 
 def test_upper_bound_of_learned_rule_matches_training(rng):
