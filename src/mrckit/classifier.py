@@ -335,12 +335,9 @@ def bounds_for_rule(uncertainty, instances, spec, h, solver_config=None):
         solver_config = SolverConfig()
     high = objective.build_upper_bound_problem(uncertainty, instances, spec, h)
     low = objective.lower_from_upper(high)
-    # The two solves are independent, and subgradient solves run side by
-    # side. Two simplex solves were measured slower side by side than one
-    # after the other: their dense BLAS products already use every CPU, and
-    # the lower LP takes most of the pivots.
-    pair = map if solver_config.method == "lp" else parallel.ordered_map
-    low_run, high_run = pair(lambda problem: solve(problem, solver_config), [low, high])
+    # the two solves are independent, so they run side by side
+    low_run, high_run = parallel.ordered_map(
+        lambda problem: solve(problem, solver_config), [low, high])
     lower_raw = low.reported_value(low_run.best_value)
     upper_raw = high_run.best_value
     return RuleBounds(

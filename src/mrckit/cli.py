@@ -310,26 +310,25 @@ def cmd_sweep_lambda(args):
     grid = _parse_grid(args.lambda0_grid, float)
     data = load_csv(args.data, has_header=args.has_header)
     folds = stratified_folds(data, args.folds, args.seed)
-    cfg = _solver_config_from_args(args)
-
-    def fold_metrics(cell):
-        gi, fi = cell
-        fold = folds[fi]
-        train_rows = np.setdiff1d(np.arange(data.n), fold)
-        spec = _spec_from_args(args, data, seed_counter=1 + gi * len(folds) + fi)
-        model = classifier.train(
-            data.subset(train_rows), spec, lambda_mode="practical",
-            lambda0=grid[gi], delta=args.delta, solver_config=cfg)
-        metrics = classifier.evaluate(model, data.subset(fold))
-        return (model.minimax_risk, model.lower_bound,
-                metrics["randomized_risk"], metrics["deterministic_error"])
-
-    cells = [(gi, fi) for gi in range(len(grid)) for fi in range(len(folds))]
-    per_fold = parallel.ordered_map(fold_metrics, cells)
     rows = []
     for gi, lam0 in enumerate(grid):
-        mine = per_fold[gi * len(folds):(gi + 1) * len(folds)]
-        rows.append([lam0] + [float(np.mean(col)) for col in zip(*mine)])
+        acc = {"upper": [], "lower": [], "risk": [], "err": []}
+        for fi, fold in enumerate(folds):
+            test = data.subset(fold)
+            train_rows = np.setdiff1d(np.arange(data.n), fold)
+            train_set = data.subset(train_rows)
+            spec = _spec_from_args(args, data, seed_counter=1 + gi * len(folds) + fi)
+            cfg = _solver_config_from_args(args)
+            model = classifier.train(
+                train_set, spec, lambda_mode="practical", lambda0=lam0,
+                delta=args.delta, solver_config=cfg)
+            metrics = classifier.evaluate(model, test)
+            acc["upper"].append(model.minimax_risk)
+            acc["lower"].append(model.lower_bound)
+            acc["risk"].append(metrics["randomized_risk"])
+            acc["err"].append(metrics["deterministic_error"])
+        rows.append([lam0, float(np.mean(acc["upper"])), float(np.mean(acc["lower"])),
+                     float(np.mean(acc["risk"])), float(np.mean(acc["err"]))])
     table_path = out_dir / "sweep_lambda.csv"
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

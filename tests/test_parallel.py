@@ -67,6 +67,39 @@ def test_map_spreads_over_cpus_and_nests_inline(cpus):
     assert pids[1] == pids[3] and pids[1] != pids[0]
 
 
+def test_map_caps_the_worker_count(cpus):
+    cpus(parallel.MAX_WORKERS + 2)
+    pids = parallel.ordered_map(lambda _: os.getpid(), range(8))
+    assert len(set(pids)) == parallel.MAX_WORKERS
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_map_runs_stripes_inline_when_a_worker_cannot_start(cpus, monkeypatch, call):
+    cpus(3)
+    monkeypatch.setattr(parallel, "MAX_WORKERS", 3)
+    real, made = getattr(os, call), []
+
+    def second_fails(*args):
+        # the first worker starts, the second does not
+        if made:
+            raise OSError(11, "Resource temporarily unavailable")
+        made.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(os, call, second_fails)
+    before = _open_fds()
+    pids = parallel.ordered_map(lambda _: os.getpid(), range(7))
+    assert _open_fds() == before  # no pipe end left open
+    me = os.getpid()
+    assert [p == me for p in pids] == [i % 3 != 1 for i in range(7)]
+    assert parallel.ordered_map(_square, range(7)) == [x * x for x in range(7)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_map_raises_first_exception_in_order(cpus, n):
     cpus(n)
@@ -87,8 +120,9 @@ def test_map_reports_killed_worker(cpus):
         parallel.ordered_map(die_in_worker, range(2))
 
 
-def test_map_stops_other_workers_after_a_lost_one(cpus):
+def test_map_stops_other_workers_after_a_lost_one(cpus, monkeypatch):
     cpus(3)
+    monkeypatch.setattr(parallel, "MAX_WORKERS", 3)
 
     def task(x):
         if x == 1:
@@ -120,24 +154,6 @@ def test_bounds_for_rule_same_at_one_and_two_cpus(cpus):
         assert getattr(one, name) == getattr(two, name)
     assert np.array_equal(one.mu_lower, two.mu_lower)
     assert np.array_equal(one.mu_upper, two.mu_upper)
-
-
-def test_bounds_for_rule_solves_lp_pair_in_this_process(cpus, monkeypatch):
-    ds = make_blobs(20, d=2, seed=4)
-    spec = features.identity_spec(2, 2)
-    tau, _ = estimate.mean_vector(ds.instances, ds.labels, spec)
-    unc = estimate.UncertaintySet(tau, np.full(4, 0.1))
-    pids, solve = [], classifier.solve
-
-    def recording(problem, config):
-        pids.append(os.getpid())
-        return solve(problem, config)
-
-    monkeypatch.setattr(classifier, "solve", recording)
-    cpus(2)
-    classifier.bounds_for_rule(unc, ds.instances, spec, np.full((20, 2), 0.5),
-                               SolverConfig(method="lp"))
-    assert pids == [os.getpid()] * 2
 
 
 STUDIES = {
