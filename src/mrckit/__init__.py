@@ -9,13 +9,13 @@ from .features import (FeatureMapSpec, default_sigma, feature_map, identity_spec
 from .estimate import (UncertaintySet, ensure_feasible, lambda_bernstein,
                        lambda_hoeffding, lambda_practical, lambda_rademacher,
                        mean_vector)
-from .objective import (PiecewiseLinearProblem, build_fixed_marginal_problem,
-                        build_learning_problem, build_lower_bound_problem,
-                        build_upper_bound_problem, phi, phi_at_x)
+from .objective import (PiecewiseLinearProblem, build_learning_problem,
+                        build_upper_bound_problem, learning_problem,
+                        lower_from_upper, phi, phi_at_x)
 from .solver import (DivergenceError, SolverConfig, SolverError, SolverRun,
                      UnboundedObjectiveError, solve, solve_asm, solve_bsm,
                      solve_easm, solve_easm_restart, solve_lp, subgradient)
 from .classifier import (MrcModel, bounds_for_rule, diagnostics, epsilon_s,
                          evaluate, exact_risk_finite, fixed_marginal_proba,
                          high_confidence_bounds, load_model, predict,
-                         predict_proba, save_model, train)
+                         predict_proba, rule_bounds, save_model, train)

@@ -71,16 +71,15 @@ def train(data, spec=None, *, lambda_mode="practical", lambda0=0.3, delta=0.05,
     """
     if solver_config is None:
         solver_config = SolverConfig()
-    stats, X, spec, unc = estimate_uncertainty(
+    stats, X, spec, unc, psi = estimate_uncertainty(
         data, spec, lambda_mode=lambda_mode, lambda0=lambda0, delta=delta,
         rademacher_R=rademacher_R, normalize=normalize)
-    if anchor is None:
-        anchor_X = X
-    else:
-        anchor_X = np.atleast_2d(np.asarray(anchor, dtype=float))
+    if anchor is not None:  # else the training set is the pool, mapped once
+        X = np.atleast_2d(np.asarray(anchor, dtype=float))
         if stats is not None:
-            anchor_X = (anchor_X - stats.mean) / stats.std
-    return fit(unc, anchor_X, spec, solver_config, variant=variant,
+            X = (X - stats.mean) / stats.std
+        psi = features.scalar_feature_matrix(spec, X)
+    return fit(unc, X, psi, spec, solver_config, variant=variant,
                repair=repair, compute_lower=compute_lower,
                normalization=stats, label_names=data.label_names)
 
@@ -91,9 +90,9 @@ def estimate_uncertainty(data, spec=None, *, lambda_mode="practical",
     """Estimation step of training: normalize, then estimate tau and lambda.
 
     Returns (normalization stats or None, normalized instances, feature
-    spec, uncertainty set). An identity spec without a feature bound comes
-    back as a copy that records the bound C; the caller's spec is not
-    changed.
+    spec, uncertainty set, the instances' scalar features psi). An identity
+    spec without a feature bound comes back as a copy that records the
+    bound C; the caller's spec is not changed.
     """
     stats = None
     X = data.instances
@@ -141,24 +140,26 @@ def estimate_uncertainty(data, spec=None, *, lambda_mode="practical",
         "rademacher_R": rademacher_R, "C": C, "family_size": family_size,
         "n": n,
     }
-    return stats, X, spec, estimate.UncertaintySet(tau, lam, provenance)
+    return stats, X, spec, estimate.UncertaintySet(tau, lam, provenance), psi
 
 
-def fit(uncertainty, anchor, spec, solver_config, *, variant="standard",
+def fit(uncertainty, anchor, psi, spec, solver_config, *, variant="standard",
         repair="auto", compute_lower=True, normalization=None, label_names=()):
     """Training core over a fixed uncertainty set and a normalized anchor pool.
 
-    Minimizes the learning objective, repairing the set as `repair` says
-    (see train), reads the randomized rule off the solution and, for the
-    standard variant, solves the companion problem that certifies the lower
-    bound on its error probability.
+    `psi` holds the anchor's scalar features under `spec`; the repair, the
+    learning problem (also when rebuilt after a repair) and the lower
+    problem all use it. Minimizes the learning objective, repairing the set
+    as `repair` says (see train), reads the randomized rule off the solution
+    and, for the standard variant, solves the companion problem that
+    certifies the lower bound on its error probability.
     """
     if repair not in ("auto", "always", "never"):
         raise ValueError(f"unknown repair policy {repair!r}")
     if variant not in ("standard", "fixed_marginal"):
         raise ValueError(f"unknown variant {variant!r}")
     unc, run, problem, notices = _solve_learning(
-        uncertainty, anchor, spec, solver_config, variant, repair)
+        uncertainty, psi, spec.num_classes, solver_config, variant, repair)
     # phi* and the rule come from the anchor's scores under mu*, read off the
     # learning problem's own scalar features
     scores = problem.scores(run.best_mu)
@@ -181,7 +182,8 @@ def fit(uncertainty, anchor, spec, solver_config, *, variant="standard",
     )
     if compute_lower and variant == "standard":
         h = _rule_matrix_from_scores(scores, model.phi_star, model.num_classes)
-        low_problem = objective.build_lower_bound_problem(unc, anchor, spec, h)
+        low_problem = objective.lower_from_upper(
+            objective.build_upper_bound_problem(unc, psi, h))
         low_run = solve(low_problem, solver_config)
         model.raw_bounds["lower"] = low_problem.reported_value(low_run.best_value)
         model.lower_bound = _clamp(model.raw_bounds["lower"])
@@ -190,22 +192,26 @@ def fit(uncertainty, anchor, spec, solver_config, *, variant="standard",
     return model
 
 
-def _solve_learning(unc, anchor, spec, solver_config, variant, repair):
+def _solve_learning(unc, psi, num_classes, solver_config, variant, repair):
     """Build and minimize the learning objective, repairing per `repair`.
 
     Returns (uncertainty set used, run, the problem it minimized, notices).
     """
     notices = []
     if repair == "always":
-        unc, changed = _repair(unc, anchor, spec)
+        unc, changed = _repair(unc, psi, num_classes)
         if changed:
             notices.append("uncertainty set repaired up front")
             log.info("feasibility repair adjusted the uncertainty set")
 
-    build = (objective.build_fixed_marginal_problem if variant == "fixed_marginal"
-             else objective.build_learning_problem)
+    def build(unc):
+        problem = objective.learning_problem(unc, psi, num_classes)
+        # the fixed-marginal objective averages the instance maxima
+        if variant == "fixed_marginal":
+            problem = dataclasses.replace(problem, average=True)
+        return problem
 
-    problem = build(unc, anchor, spec)
+    problem = build(unc)
     try:
         run = solve(problem, solver_config)
     except (UnboundedObjectiveError, DivergenceError) as exc:
@@ -213,14 +219,14 @@ def _solve_learning(unc, anchor, spec, solver_config, variant, repair):
             raise
         log.warning("learning solve failed (%s); repairing the uncertainty set", exc)
         notices.append(f"repaired after: {exc}")
-        unc, _ = _repair(unc, anchor, spec)
-        problem = build(unc, anchor, spec)
+        unc, _ = _repair(unc, psi, num_classes)
+        problem = build(unc)
         run = solve(problem, solver_config)
     return unc, run, problem, notices
 
 
-def _repair(unc, anchor_X, spec):
-    tau2, lam2 = estimate.ensure_feasible(unc.tau, unc.lam, anchor_X, spec)
+def _repair(unc, psi, num_classes):
+    tau2, lam2 = estimate.ensure_feasible(unc.tau, unc.lam, psi, num_classes)
     changed = not (np.array_equal(tau2, unc.tau) and np.array_equal(lam2, unc.lam))
     prov = dict(unc.provenance)
     prov["repaired"] = changed
@@ -327,13 +333,20 @@ class RuleBounds:
 
 
 def bounds_for_rule(uncertainty, instances, spec, h, solver_config=None):
+    """rule_bounds over the scalar features of `instances` under `spec`."""
+    return rule_bounds(uncertainty, features.scalar_feature_matrix(spec, instances),
+                       h, solver_config)
+
+
+def rule_bounds(uncertainty, psi, h, solver_config=None):
     """Certified lower/upper bounds on the expected loss of an arbitrary rule.
 
-    `h` holds the rule evaluations h(y|x) as an (instances, classes) matrix.
+    `psi` holds the pool's scalar features, (n, B), and `h` the rule
+    evaluations h(y|x) as an (n, classes) matrix.
     """
     if solver_config is None:
         solver_config = SolverConfig()
-    high = objective.build_upper_bound_problem(uncertainty, instances, spec, h)
+    high = objective.build_upper_bound_problem(uncertainty, psi, h)
     low = objective.lower_from_upper(high)
     # the two solves are independent, so they run side by side
     low_run, high_run = parallel.ordered_map(
@@ -347,20 +360,6 @@ def bounds_for_rule(uncertainty, instances, spec, h, solver_config=None):
         upper_certificate=high_run.certificate,
         mu_lower=low_run.best_mu, mu_upper=high_run.best_mu,
     )
-
-
-def deterministic_rule_matrix(model, instances_normalized):
-    """One-hot matrix of the deterministic rule over normalized instances."""
-    scores = features.score_matrix(model.feature_spec, instances_normalized,
-                                   model.mu_star)
-    return np.eye(model.num_classes)[np.argmax(scores, axis=1)]
-
-
-def randomized_rule_matrix(model, instances_normalized):
-    """Randomized rule h(y|x) over normalized instances."""
-    scores = features.score_matrix(model.feature_spec, instances_normalized,
-                                   model.mu_star)
-    return rule_from_scores(model, scores)[1]
 
 
 @dataclass

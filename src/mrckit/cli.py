@@ -150,12 +150,17 @@ def _solver_config_from_args(args, **overrides):
     return cfg
 
 
-def _anchor_from_args(args):
+def _uncertainty_args(args, **overrides):
+    """The uncertainty-set keywords of classifier.train from the flags."""
+    return {"lambda_mode": args.lambda_mode, "lambda0": args.lambda0,
+            "delta": args.delta, "rademacher_R": args.rademacher_R, **overrides}
+
+
+def _anchor_from_args(args, d):
     if args.anchor == "train":
         return None
-    if args.anchor.startswith("file:"):
-        pool = load_csv(args.anchor[5:], has_header=args.has_header)
-        return pool.instances
+    if args.anchor.startswith("file:"):  # anchor labels are never used
+        return load_features(args.anchor[5:], d, args.has_header)
     raise DataError(f"--anchor must be 'train' or 'file:<path>', got {args.anchor!r}")
 
 
@@ -203,9 +208,8 @@ def cmd_train(args):
     cfg = _solver_config_from_args(args, record_trace=True,
                                    trace_every=args.trace_every)
     model = classifier.train(
-        data, spec, lambda_mode=args.lambda_mode, lambda0=args.lambda0,
-        delta=args.delta, rademacher_R=args.rademacher_R, solver_config=cfg,
-        anchor=_anchor_from_args(args),
+        data, spec, **_uncertainty_args(args), solver_config=cfg,
+        anchor=_anchor_from_args(args, data.d),
         variant=args.variant.replace("-", "_"), repair=args.repair,
     )
     model_path = out_dir / "model.json"
@@ -272,11 +276,13 @@ def cmd_bounds(args):
     })
 
     if args.deterministic:
-        cfg = _solver_config_from_args(args)
-        h_det = classifier.deterministic_rule_matrix(model, model.instance_anchor)
-        det = classifier.bounds_for_rule(
-            model.uncertainty, model.instance_anchor, model.feature_spec,
-            h_det, cfg)
+        # the anchor is mapped once: the one-hot rule is read off its scores
+        # and both bound problems are built on the same scalar features
+        psi = features.scalar_feature_matrix(model.feature_spec, model.instance_anchor)
+        labels = np.argmax(psi @ model.mu_star.reshape(model.num_classes, -1).T, axis=1)
+        det = classifier.rule_bounds(model.uncertainty, psi,
+                                     np.eye(model.num_classes)[labels],
+                                     _solver_config_from_args(args))
         report["deterministic_rule"] = {
             "lower": det.lower, "upper": det.upper,
             "lower_raw": det.lower_raw, "upper_raw": det.upper_raw,
@@ -319,9 +325,10 @@ def cmd_sweep_lambda(args):
             train_set = data.subset(train_rows)
             spec = _spec_from_args(args, data, seed_counter=1 + gi * len(folds) + fi)
             cfg = _solver_config_from_args(args)
+            # the sweep is over lambda0, so the practical width is forced
             model = classifier.train(
-                train_set, spec, lambda_mode="practical", lambda0=lam0,
-                delta=args.delta, solver_config=cfg)
+                train_set, spec, solver_config=cfg,
+                **_uncertainty_args(args, lambda_mode="practical", lambda0=lam0))
             metrics = classifier.evaluate(model, test)
             acc["upper"].append(model.minimax_risk)
             acc["lower"].append(model.lower_bound)
@@ -346,7 +353,7 @@ def cmd_reduce_study(args):
     sizes = _parse_grid(args.sizes, int)
     data = load_csv(args.data, has_header=args.has_header)
     spec = _spec_from_args(args, data)
-    pool = _anchor_from_args(args)
+    pool = _anchor_from_args(args, data.d)
     pool_n = data.n if pool is None else pool.shape[0]
     for s in sizes:  # before any solve
         if s > pool_n:
@@ -355,8 +362,7 @@ def cmd_reduce_study(args):
     # tau and lambda are fixed once from the training data.
     cfg = _solver_config_from_args(args)
     model_full = classifier.train(
-        data, spec, lambda_mode=args.lambda_mode, lambda0=args.lambda0,
-        delta=args.delta, solver_config=cfg,
+        data, spec, **_uncertainty_args(args), solver_config=cfg,
         anchor=pool, repair="always", compute_lower=False)
     upper_full = model_full.raw_bounds["upper"]
     unc = model_full.uncertainty
@@ -376,8 +382,9 @@ def cmd_reduce_study(args):
             subsets.append(idx)
 
     def subset_bounds(idx):
-        model = classifier.fit(unc, model_full.instance_anchor[idx], spec, cfg,
-                               repair="always")
+        anchor = model_full.instance_anchor[idx]  # each subset is mapped once
+        model = classifier.fit(unc, anchor, features.scalar_feature_matrix(spec, anchor),
+                               spec, cfg, repair="always")
         return model.raw_bounds["upper"], model.raw_bounds["lower"]
 
     rows = [[s, rep, upper_s, lower_s, abs(upper_s - upper_full), eps]
@@ -400,10 +407,9 @@ def cmd_bench_solvers(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = load_csv(args.data, has_header=args.has_header)
-    _, X, spec, unc = classifier.estimate_uncertainty(
-        data, _spec_from_args(args, data), lambda_mode=args.lambda_mode,
-        lambda0=args.lambda0, delta=args.delta, rademacher_R=args.rademacher_R)
-    problem = objective.build_learning_problem(unc, X, spec)
+    _, _, spec, unc, psi = classifier.estimate_uncertainty(
+        data, _spec_from_args(args, data), **_uncertainty_args(args))
+    problem = objective.learning_problem(unc, psi, spec.num_classes)
 
     methods = ["bsm", "asm", "easm", "easm_restart"]
     summary = {"methods": {}, "p": problem.num_rows, "m": problem.dimension}
@@ -459,8 +465,7 @@ def cmd_model_select(args):
                 seed=(args.rff_seed if args.rff_seed is not None
                       else args.seed * 1000003 + split_i))
             model = classifier.train(
-                train_set, spec, lambda_mode=args.lambda_mode,
-                lambda0=args.lambda0, delta=args.delta,
+                train_set, spec, **_uncertainty_args(args),
                 solver_config=select_cfg, anchor=anchor, compute_lower=False)
             # ties broken toward smaller sigma: strict improvement required
             if best is None or model.minimax_risk < best[1] - 1e-12:
@@ -468,8 +473,7 @@ def cmd_model_select(args):
         sigma_star, _, spec = best
         final_cfg = _solver_config_from_args(args)
         model = classifier.train(
-            train_set, spec, lambda_mode=args.lambda_mode,
-            lambda0=args.lambda0, delta=args.delta, solver_config=final_cfg)
+            train_set, spec, **_uncertainty_args(args), solver_config=final_cfg)
         metrics = classifier.evaluate(model, test_set)
         return {
             "split": split_i, "sigma": sigma_star,

@@ -41,26 +41,25 @@ class UncertaintySet:
 
 
 def mean_vector(X, y, spec, want_variance=True):
+    """tau_and_variance_from_scalars over the scalar features of X under spec."""
+    return tau_and_variance_from_scalars(features.scalar_feature_matrix(spec, X), y,
+                                         spec.num_classes, want_variance)
+
+
+def tau_and_variance_from_scalars(psi, y, num_classes, want_variance=True):
     """Sample average of the feature mapping and per-component variance.
 
+    `psi` holds the samples' scalar features, (n, B), and `y` their labels.
     Returns (tau, variance); variance is the unbiased per-component sample
     variance and requires at least 2 samples (pass want_variance=False to
     skip it).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=int)
-    n = X.shape[0]
+    n, B = psi.shape
     if n == 0:
         raise ValueError("mean_vector needs at least one sample")
     if want_variance and n < 2:
         raise ValueError("variance is undefined for fewer than 2 samples")
-    psi = features.scalar_feature_matrix(spec, X)
-    return tau_and_variance_from_scalars(psi, y, spec.num_classes, want_variance)
-
-
-def tau_and_variance_from_scalars(psi, y, num_classes, want_variance=True):
-    """Same as mean_vector but over precomputed scalar features."""
-    n, B = psi.shape
     sums = np.zeros((num_classes, B))
     sqsums = np.zeros((num_classes, B))
     for c in range(1, num_classes + 1):
@@ -135,27 +134,25 @@ def lambda_practical(lambda0, variance, n):
     return lambda0 * np.sqrt(variance / n)
 
 
-def ensure_feasible(tau, lam, instances, spec):
-    """Widen/re-center (tau, lam) so the instance-restricted set is nonempty.
+def ensure_feasible(tau, lam, psi, num_classes):
+    """Widen/re-center (tau, lam) so the pool-restricted set is nonempty.
 
-    Solves the exact LP that minimally enlarges the confidence vector while
-    shifting the mean, over distributions supported on the given instances
-    and all labels. Returns (tau~, lam~) with lam~ >= lam; inputs that are
-    already feasible come back unchanged.
+    `psi` holds the pool's scalar features, (s, B). Solves the exact LP that
+    minimally enlarges the confidence vector while shifting the mean, over
+    distributions supported on the pool's instances and all labels. Returns
+    (tau~, lam~) with lam~ >= lam; inputs that are already feasible come
+    back unchanged.
     """
     tau = np.asarray(tau, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    X = np.atleast_2d(np.asarray(instances, dtype=float))
-    s = X.shape[0]
+    s, B = psi.shape
     if s == 0:
         raise ValueError("ensure_feasible needs a nonempty instance list")
-    K = spec.num_classes
-    B = features.block_dim(spec)
+    K = num_classes
     m = K * B
     if tau.size != m:
         raise ValueError(f"tau has length {tau.size}, feature map has {m}")
 
-    psi = features.scalar_feature_matrix(spec, X)
     # Phi^T as (m, s*K): column for (x_i, y) holds Phi(x_i, y).
     phi_T = np.zeros((m, s * K))
     for c in range(K):

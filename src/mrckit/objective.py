@@ -23,7 +23,6 @@ argmax row, or for averaged problems each instance's argmax r.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,47 +192,59 @@ def phi(mu, instances, spec):
     return float(phi_per_instance(scores).max())
 
 
-def build_learning_problem(uncertainty, instances, spec):
-    """The learning objective: one row per (instance, nonempty label subset).
+def learning_problem(uncertainty, psi, num_classes):
+    """The learning objective over an instance pool's scalar features `psi`
+    (n, B): one row per (instance, nonempty label subset).
 
     Minimizing the result yields the minimax risk and the rule parameters.
+    The problem keeps `psi` as given; `dataclasses.replace(problem,
+    average=True)` turns it into the fixed-marginal objective.
     """
-    X = np.atleast_2d(np.asarray(instances, dtype=float))
-    s = X.shape[0]
+    s, B = psi.shape
     if s == 0:
         raise ValueError("learning problem needs a nonempty instance pool")
-    K = spec.num_classes
-    if K > 62:  # row indices are subset bitmasks in 64-bit integers
-        raise ValueError(f"{K} classes exceed the supported 62")
-    if uncertainty.m != features.feature_dim(spec):
+    if num_classes > 62:  # row indices are subset bitmasks in 64-bit integers
+        raise ValueError(f"{num_classes} classes exceed the supported 62")
+    if uncertainty.m != num_classes * B:
         raise ValueError("uncertainty set length does not match the feature map")
     weights = offsets = None
-    if K <= SUBSET_ENUMERATION_CAP:
-        weights = _subset_weights(np.arange(1, 2 ** K), K)
+    if num_classes <= SUBSET_ENUMERATION_CAP:
+        weights = _subset_weights(np.arange(1, 2 ** num_classes), num_classes)
         offsets = np.broadcast_to(-1.0 / weights.sum(axis=1), (s, weights.shape[0]))
     return PiecewiseLinearProblem(
         a=-uncertainty.tau,
         lam=uncertainty.lam.copy(),
-        psi=features.scalar_feature_matrix(spec, X),
+        psi=psi,
         weights=weights,
         offsets=offsets,
         constant=1.0,
     )
 
 
-def build_upper_bound_problem(uncertainty, instances, spec, h):
-    """Worst-case expected loss of rule h: minimize to get the upper bound."""
-    X = np.atleast_2d(np.asarray(instances, dtype=float))
-    K = spec.num_classes
+def build_learning_problem(uncertainty, instances, spec):
+    """learning_problem over the scalar features of `instances` under `spec`."""
+    return learning_problem(uncertainty, features.scalar_feature_matrix(spec, instances),
+                            spec.num_classes)
+
+
+def build_upper_bound_problem(uncertainty, psi, h):
+    """Worst-case expected loss of rule h over an instance pool's scalar
+    features `psi` (n, B); h holds h(y|x_i) as an (n, classes) matrix.
+    Minimize the result to get the upper bound.
+    """
+    n, B = psi.shape
+    K = uncertainty.m // B
+    if uncertainty.m != K * B:
+        raise ValueError("uncertainty set length does not match the feature map")
     h = np.asarray(h, dtype=float)
-    if h.shape != (X.shape[0], K):
-        raise ValueError(f"rule evaluations must have shape ({X.shape[0]}, {K})")
+    if h.shape != (n, K):
+        raise ValueError(f"rule evaluations must have shape ({n}, {K})")
     if np.any(h < 0.0) or np.any(h > 1.0):
         raise ValueError("rule evaluations must lie in [0, 1]")
     return PiecewiseLinearProblem(
         a=-uncertainty.tau,
         lam=uncertainty.lam.copy(),
-        psi=features.scalar_feature_matrix(spec, X),
+        psi=psi,
         weights=np.eye(K),
         offsets=-h,
         constant=1.0,
@@ -251,15 +262,3 @@ def lower_from_upper(upper):
         a=-upper.a, lam=upper.lam, psi=-upper.psi, weights=upper.weights,
         offsets=-upper.offsets, constant=-upper.constant, negate_reported=True,
     )
-
-
-def build_lower_bound_problem(uncertainty, instances, spec, h):
-    """Best-case expected loss of rule h: lower_from_upper of its upper problem."""
-    return lower_from_upper(build_upper_bound_problem(uncertainty, instances, spec, h))
-
-
-def build_fixed_marginal_problem(uncertainty, train_instances, spec):
-    """Fixed-instance-marginal objective: the learning problem with phi
-    averaged over the instances instead of maximized."""
-    return dataclasses.replace(
-        build_learning_problem(uncertainty, train_instances, spec), average=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mrckit import features, estimate, objective
+from mrckit import features, estimate, objective, parallel
 from mrckit.dataset import Dataset
 
 
@@ -74,3 +74,21 @@ def finite_distribution(seed, support_size=20, d=2, num_classes=2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def mapped_rows(monkeypatch):
+    """Row counts of every features.scalar_feature_matrix call, in order.
+
+    The map runs on one CPU, so no call is hidden in a forked worker.
+    """
+    calls = []
+    mapper = features.scalar_feature_matrix
+
+    def counting(spec, X):
+        calls.append(np.atleast_2d(X).shape[0])
+        return mapper(spec, X)
+
+    monkeypatch.setattr(features, "scalar_feature_matrix", counting)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    return calls

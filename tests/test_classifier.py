@@ -210,27 +210,44 @@ def test_bounds_for_rule_maps_anchor_once(monkeypatch):
     assert rb.lower_raw <= rb.upper_raw + 1e-9
 
 
-def test_train_maps_anchor_three_times(monkeypatch):
-    # estimate, learning problem, lower problem; phi* and the rule are read
-    # off the learning problem's scores
+def test_train_maps_anchor_once(monkeypatch, mapped_rows):
+    # the estimate's scalar features serve the learning and lower problems;
+    # phi* and the rule are read off the learning problem's scores
     ds = make_blobs(20, d=2, seed=4)
     spec = features.rff_spec(2, 2, D=5, seed=1)
-    calls = []
-    mapper = features.scalar_feature_matrix
-
-    def counting(spec, X):
-        calls.append(np.atleast_2d(X).shape[0])
-        return mapper(spec, X)
-
-    monkeypatch.setattr(features, "scalar_feature_matrix", counting)
     model = train(ds, spec, solver_config=LP)
-    assert calls == [20, 20, 20]
+    assert mapped_rows == [20]
     monkeypatch.undo()
     Xn = model.instance_anchor
     assert model.phi_star == objective.phi(model.mu_star, Xn, spec)
-    rule = classifier.randomized_rule_matrix(model, Xn)
-    low = objective.build_lower_bound_problem(model.uncertainty, Xn, spec, rule)
+    psi = features.scalar_feature_matrix(spec, Xn)
+    rule = classifier.rule_from_scores(model, psi @ model.mu_star.reshape(2, -1).T)[1]
+    low = objective.lower_from_upper(
+        objective.build_upper_bound_problem(model.uncertainty, psi, rule))
     assert low.reported_value(solve(low, LP).best_value) == model.raw_bounds["lower"]
+
+
+def test_train_maps_training_set_and_anchor_once_each(mapped_rows):
+    ds = make_blobs(20, d=2, seed=4)
+    spec = features.rff_spec(2, 2, D=5, seed=1)
+    anchor = make_blobs(7, d=2, seed=5).instances
+    for repair in ("auto", "always"):
+        mapped_rows.clear()
+        train(ds, spec, solver_config=LP, anchor=anchor, repair=repair)
+        assert mapped_rows == [20, 7]
+
+
+def test_repair_adds_no_mapping(mapped_rows):
+    # the up-front repair and the auto-repair retry reuse the anchor's psi
+    X = np.array([[2.0, 0.0], [2.5, 0.5], [-2.0, 0.0], [-2.5, -0.5]])
+    ds = Dataset(X, np.array([1, 1, 2, 2]), ("a", "b"))
+    spec = features.identity_spec(2, 2)
+    for repair in ("auto", "always"):
+        mapped_rows.clear()
+        model = train(ds, spec, lambda0=0.0, solver_config=LP, anchor=np.zeros((2, 2)),
+                      normalize=False, repair=repair)
+        assert model.uncertainty.provenance["repaired"] is True
+        assert mapped_rows == [4, 2]
 
 
 def test_upper_bound_of_learned_rule_matches_training(rng):
@@ -240,7 +257,8 @@ def test_upper_bound_of_learned_rule_matches_training(rng):
     spec = features.identity_spec(2, 2)
     model = train(ds, spec, solver_config=LP)
     Xn = model.instance_anchor
-    h = classifier.randomized_rule_matrix(model, Xn)
+    h = classifier.rule_from_scores(
+        model, features.score_matrix(model.feature_spec, Xn, model.mu_star))[1]
     rb = bounds_for_rule(model.uncertainty, Xn, model.feature_spec, h, LP)
     assert abs(rb.upper_raw - model.raw_bounds["upper"]) < 1e-8
     assert rb.lower_raw <= rb.upper_raw + 1e-9
@@ -342,7 +360,7 @@ def test_bound_sandwich_small():
     phi_star = objective.phi(run.best_mu, X, spec)
     model = toy_model(run.best_mu, phi_star, 2, d=2, anchor=X)
     model.uncertainty = unc
-    h = classifier.randomized_rule_matrix(model, X)
+    h = classifier.rule_from_scores(model, features.score_matrix(spec, X, run.best_mu))[1]
     rb = bounds_for_rule(unc, X, spec, h, LP)
     risk = exact_risk_finite(model, X[px], py, prob)
     assert rb.lower_raw - 1e-9 <= risk <= rb.upper_raw + 1e-9

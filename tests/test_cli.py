@@ -63,6 +63,33 @@ def test_train_report_p_null_for_fixed_marginal(blob_csv, tmp_path):
     assert report["p"] is None  # matrix-free objective: no rows built
 
 
+def test_train_anchor_file_label_column_ignored(blob_csv, tmp_path):
+    # a file pool holds d feature columns and an optional, unused label column
+    X = make_blobs(15, d=2, seed=8).instances
+    cells = [",".join(repr(float(v)) for v in row) for row in X]
+    forms = {
+        "features": cells,
+        "labelled": [c + ("," + "ab"[i % 2]) for i, c in enumerate(cells)],
+        "single_label": [c + ",a" for c in cells],
+    }
+    written = set()
+    for name, lines in forms.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / f"model_{name}"
+        assert run_cli(*train_args(blob_csv, str(out), anchor=f"file:{path}")) == 0
+        written.add((out / "model.json").read_bytes())
+    assert len(written) == 1
+
+
+def test_train_anchor_file_wrong_width(blob_csv, tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text("0.1,0.2,0.3,a\n0.4,0.5,0.6,b\n")
+    code = run_cli(*train_args(blob_csv, str(tmp_path / "out"), anchor=f"file:{path}"))
+    assert code == 1
+    assert "expects 2 features" in capsys.readouterr().err
+
+
 def test_train_default_solver_four_classes_1500_rows(tmp_path):
     # E-ASM's Gram is n x n (18 MB here), not p x p over n (2^K - 1) rows
     ds = make_blobs(1500, d=2, num_classes=4, seed=3)
@@ -218,6 +245,16 @@ def test_bounds_command(blob_csv, tmp_path):
     assert 0.0 <= hc["lower"] and hc["upper"] <= 1.0
 
 
+def test_bounds_deterministic_maps_anchor_once(blob_csv, tmp_path, mapped_rows):
+    out = str(tmp_path / "out")
+    run_cli(*train_args(blob_csv, out))
+    mapped_rows.clear()
+    code = run_cli("bounds", "--model", os.path.join(out, "model.json"),
+                   "--out", str(tmp_path / "bounds"), "--deterministic")
+    assert code == 0
+    assert mapped_rows == [60]
+
+
 def test_bounds_rejects_small_lambda_delta(blob_csv, tmp_path):
     out = str(tmp_path / "out")
     run_cli(*train_args(blob_csv, out))
@@ -261,6 +298,27 @@ def test_reduce_study(blob_csv, tmp_path):
     for r in full:
         assert float(r[4]) < 1e-9  # s = pool size reproduces the full solve
     assert all(float(r[5]) > 0 for r in rows[1:])
+
+
+def test_reduce_study_maps_each_subset_once(blob_csv, tmp_path, mapped_rows):
+    code = run_cli("reduce-study", "--data", blob_csv, "--out", str(tmp_path / "r"),
+                   "--features", "identity", "--solver", "asm", "--max-iters", "300",
+                   "--sizes", "20,60", "--reps", "2", "--seed", "3")
+    assert code == 0
+    assert mapped_rows == [60, 20, 20, 60, 60]  # the training set, then each subset
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["reduce-study", "--features", "identity", "--sizes", "20",
+                  "--reps", "1"], id="reduce-study"),
+    pytest.param(["model-select", "--sigma-grid", "1.0", "--splits", "1", "--D", "8",
+                  "--select-max-iters", "200"], id="model-select"),
+])
+def test_studies_take_rademacher_width(blob_csv, tmp_path, command):
+    code = run_cli(*command, "--data", blob_csv, "--out", str(tmp_path / "o"),
+                   "--solver", "asm", "--max-iters", "300",
+                   "--lambda-mode", "rademacher", "--rademacher-R", "1.0")
+    assert code == 0
 
 
 def test_reduce_study_oversized(blob_csv, tmp_path):

@@ -139,8 +139,8 @@ def test_uncertainty_set_validation():
 def test_ensure_feasible_tiny_interval():
     # one-class map, achievable feature values {0, 1}, tau far outside
     spec = features.identity_spec(1, 1)
-    tau2, lam2 = ensure_feasible(np.array([5.0]), np.array([0.0]),
-                                 np.array([[0.0], [1.0]]), spec)
+    psi = features.scalar_feature_matrix(spec, np.array([[0.0], [1.0]]))
+    tau2, lam2 = ensure_feasible(np.array([5.0]), np.array([0.0]), psi, 1)
     assert abs(tau2[0] - 3.0) < 1e-9
     assert abs(lam2[0] - 2.0) < 1e-9
 
@@ -151,7 +151,7 @@ def test_ensure_feasible_noop_when_feasible():
     y = np.array([1, 2, 1])
     tau, _ = mean_vector(X, y, spec, want_variance=False)
     lam = np.full(2, 0.05)
-    tau2, lam2 = ensure_feasible(tau, lam, X, spec)
+    tau2, lam2 = ensure_feasible(tau, lam, features.scalar_feature_matrix(spec, X), 2)
     assert np.allclose(tau2, tau, atol=1e-9)
     assert np.allclose(lam2, lam, atol=1e-9)
 
@@ -161,9 +161,10 @@ def test_ensure_feasible_idempotent_and_dominating():
     X = np.array([[0.0], [1.0]])
     tau = np.array([3.0, -2.0])
     lam = np.array([0.1, 0.2])
-    t1, l1 = ensure_feasible(tau, lam, X, spec)
+    psi = features.scalar_feature_matrix(spec, X)
+    t1, l1 = ensure_feasible(tau, lam, psi, 2)
     assert np.all(l1 >= lam - 1e-12)
-    t2, l2 = ensure_feasible(t1, l1, X, spec)
+    t2, l2 = ensure_feasible(t1, l1, psi, 2)
     assert np.allclose(t1, t2, atol=1e-9)
     assert np.allclose(l1, l2, atol=1e-9)
 

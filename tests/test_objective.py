@@ -1,11 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mrckit import estimate, features, objective
-from mrckit.objective import (build_fixed_marginal_problem,
-                              build_learning_problem,
-                              build_lower_bound_problem,
-                              build_upper_bound_problem, phi, phi_at_x)
+from mrckit.objective import (build_learning_problem, build_upper_bound_problem,
+                              lower_from_upper, phi, phi_at_x)
 from conftest import enumerate_phi, random_learning_problem
 
 
@@ -134,19 +134,21 @@ def test_topk_objective_matches_materialized(rng, monkeypatch):
 def test_upper_bound_problem():
     problem, unc, X, y, spec = random_learning_problem(seed=4, n=3, num_classes=2)
     h = np.full((3, 2), 0.5)
-    up = build_upper_bound_problem(unc, X, spec, h)
+    psi = features.scalar_feature_matrix(spec, X)
+    up = build_upper_bound_problem(unc, psi, h)
     assert up.num_rows == 3 * 2
     assert abs(up.objective(np.zeros(up.dimension)) - 0.5) < 1e-15
-    all_one = build_upper_bound_problem(unc, X, spec, np.ones((3, 2)))
+    all_one = build_upper_bound_problem(unc, psi, np.ones((3, 2)))
     assert abs(all_one.objective(np.zeros(up.dimension)) - 0.0) < 1e-15
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        build_upper_bound_problem(unc, X, spec, np.full((3, 2), 1.5))
+        build_upper_bound_problem(unc, psi, np.full((3, 2), 1.5))
 
 
 def test_lower_bound_problem():
     problem, unc, X, y, spec = random_learning_problem(seed=5, n=4, num_classes=2)
     h = np.full((4, 2), 0.5)
-    low = build_lower_bound_problem(unc, X, spec, h)
+    low = lower_from_upper(
+        build_upper_bound_problem(unc, features.scalar_feature_matrix(spec, X), h))
     assert low.num_rows == 8
     f0 = low.objective(np.zeros(low.dimension))
     assert abs(f0 - (-0.5)) < 1e-15
@@ -157,12 +159,12 @@ def test_lower_bound_problem():
 
 def test_fixed_marginal_value_and_equivalence(rng):
     problem, unc, X, y, spec = random_learning_problem(seed=6, n=5, num_classes=3)
-    fm = build_fixed_marginal_problem(unc, X, spec)
+    fm = replace(build_learning_problem(unc, X, spec), average=True)
     assert abs(fm.objective(np.zeros(fm.dimension)) - (1 - 1.0 / 3)) < 1e-12
     # with a single instance the two objectives coincide everywhere
     unc1 = estimate.UncertaintySet(unc.tau, unc.lam)
     single = build_learning_problem(unc1, X[:1], spec)
-    fm1 = build_fixed_marginal_problem(unc1, X[:1], spec)
+    fm1 = replace(build_learning_problem(unc1, X[:1], spec), average=True)
     for _ in range(10):
         mu = rng.normal(size=fm.dimension)
         assert abs(single.objective(mu) - fm1.objective(mu)) <= 1e-12
@@ -177,7 +179,7 @@ def test_fixed_marginal_minimax_hinge_identity(rng):
     spec = features.identity_spec(K, d)
     tau, _ = estimate.mean_vector(X, y, spec, want_variance=False)
     unc = estimate.UncertaintySet(tau, np.zeros(K * d))
-    fm = build_fixed_marginal_problem(unc, X, spec)
+    fm = replace(build_learning_problem(unc, X, spec), average=True)
     for _ in range(10):
         mu = rng.normal(size=K * d)
         total = 0.0
@@ -228,8 +230,8 @@ def test_views_match_independent_materialization(rng):
         assert problem.F.tobytes() == F.tobytes()
         assert problem.b.tobytes() == b.tobytes()
     h = rng.uniform(size=(6, 4))
-    up = build_upper_bound_problem(unc, X, spec, h)
-    low = build_lower_bound_problem(unc, X, spec, h)
+    up = build_upper_bound_problem(unc, psi, h)
+    low = lower_from_upper(up)
     singletons = [1 << c for c in range(4)]
     F_up, _ = materialized_rows(psi, 4, singletons)
     F_low, _ = materialized_rows(-psi, 4, singletons)
@@ -242,7 +244,7 @@ def test_views_match_independent_materialization(rng):
 
 def test_fixed_marginal_subgradient_matches_enumeration(rng):
     problem, unc, X, y, spec = random_learning_problem(seed=8, n=7, num_classes=3)
-    fm = build_fixed_marginal_problem(unc, X, spec)
+    fm = replace(build_learning_problem(unc, X, spec), average=True)
     psi = features.scalar_feature_matrix(spec, X)
     B = psi.shape[1]
     for _ in range(10):

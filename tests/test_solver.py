@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ def test_easm_requires_materialized():
     from mrckit import estimate, features, objective
     spec = features.identity_spec(2, 1)
     unc = estimate.UncertaintySet(np.zeros(2), np.zeros(2))
-    fm = objective.build_fixed_marginal_problem(unc, np.ones((2, 1)), spec)
+    fm = replace(objective.build_learning_problem(unc, np.ones((2, 1)), spec), average=True)
     with pytest.raises(SolverError, match="max over rows"):
         solve_easm(fm, SolverConfig(max_iters=10))
 
