@@ -11,14 +11,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, classifier, estimate, features, objective, parallel
-from .dataset import (DataError, load_csv, load_features, stratified_folds,
-                      stratified_split)
+from .dataset import (DataError, feature_chunks, load_csv, load_features,
+                      stratified_folds, stratified_split)
 from .simplex import SimplexError
 from .solver import SolverConfig, SolverError, solve
 
@@ -240,22 +242,28 @@ def cmd_predict(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = classifier.load_model(args.model)
-    X = load_features(args.data, model.feature_spec.d, args.has_header)
+    names = np.array(model.label_names, dtype=object)
+    head = ["label"]
+    if args.proba:
+        head += [f"p_{name}" for name in model.label_names]
     out_path = out_dir / "predictions.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        head = ["label"]
-        if args.proba:
-            head += [f"p_{name}" for name in model.label_names]
-        writer.writerow(head)
-        chunks = (classifier.batch_scores(model, X[start:start + PREDICT_CHUNK_ROWS])
-                  for start in range(0, X.shape[0], PREDICT_CHUNK_ROWS))
-        for labels, proba in classifier.rules_by_chunk(model, chunks):
-            for i, lab in enumerate(labels):
-                row = [model.label_names[lab - 1]]
-                if args.proba:
-                    row += [repr(float(v)) for v in proba[i]]
-                writer.writerow(row)
+    partial = out_dir / "predictions.csv.partial"
+    # each chunk is read, scored and written before the next is read; the
+    # output is renamed into place only once every row has been written
+    chunks = feature_chunks(args.data, model.feature_spec.d, args.has_header,
+                            PREDICT_CHUNK_ROWS)
+    try:
+        with closing(chunks), open(partial, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(head)
+            scores = (classifier.batch_scores(model, X) for X in chunks)
+            for labels, proba in classifier.rules_by_chunk(model, scores):
+                columns = proba.T.tolist() if args.proba else ()
+                writer.writerows(zip(names[labels - 1].tolist(), *columns))
+        os.replace(partial, out_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     print(f"wrote {out_path}")
     return EXIT_OK
 

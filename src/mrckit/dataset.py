@@ -1,7 +1,8 @@
 """Tabular classification data: CSV loading, standardization, stratified splits.
 
-CSV convention: comma-separated, UTF-8, optional header row, all columns but
-the last are finite reals, the last column is the label (string or integer).
+CSV convention: comma-separated, UTF-8 (a leading byte-order mark is
+skipped), optional header row, all columns but the last are finite reals,
+the last column is the label (string or integer).
 Labels are encoded to 1..K in first-appearance order; the original names are
 kept so predictions can be reported in the input vocabulary.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -49,35 +51,78 @@ class NormalizationStats:
     std: np.ndarray  # strictly positive; constant columns forced to 1
 
 
-def _csv_rows(path, has_header):
-    """(line number, cells) of every non-blank data row of a CSV file."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_num, row in enumerate(csv.reader(fh), start=1):
-            if has_header and line_num == 1:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # blank line
-            yield line_num, row
+# Rows read and converted at a time when a whole file is loaded.
+LOAD_CHUNK_ROWS = 8192
 
 
-def _parse_features(path, line_num, cells):
-    """Feature cells of one row as finite reals."""
-    vals = np.empty(len(cells))
-    for j, cell in enumerate(cells):
-        try:
-            v = float(cell)
-        except ValueError:
-            raise DataError(
-                f"{path}: row {line_num}, column {j + 1}: "
-                f"cannot parse {cell.strip()!r} as a real number"
-            ) from None
-        if not math.isfinite(v):
-            raise DataError(
-                f"{path}: row {line_num}, column {j + 1}: "
-                f"non-finite value {cell.strip()!r}"
-            )
-        vals[j] = v
-    return vals
+def _record_blocks(path, has_header, chunk_rows):
+    """(line numbers, rows) of successive blocks of at most chunk_rows
+    non-blank data rows; line numbers count CSV records from 1. A UTF-8
+    byte-order mark is skipped. Raises DataError when there are no data rows.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        start = 1
+        if has_header:
+            next(reader, None)
+            start = 2
+        empty = True
+        while rows := list(islice(reader, chunk_rows)):
+            lines = range(start, start + len(rows))
+            start += len(rows)
+            if min(map(len, rows)) <= 1:  # blank lines read as [] or [' ']
+                kept = [(line, row) for line, row in zip(lines, rows)
+                        if len(row) > 1 or (row and row[0].strip())]
+                if not kept:
+                    continue
+                lines, rows = zip(*kept)
+            empty = False
+            yield lines, rows
+    if empty:
+        raise DataError(f"{path}: no data rows")
+
+
+def _features(path, lines, rows, ncols, width, expected):
+    """The first `width` cells of each row as a finite (len(rows), width) array.
+
+    Every row must have a column count in `ncols`; the first that does not
+    raises DataError ("... columns" + `expected`), after the rows above it,
+    so that the first fault in the file is the one named. Every cell goes
+    through one map(float, ...); only a block holding an unparseable or
+    non-finite cell is scanned again, cell by cell, to name the first such
+    cell by its row and column.
+    """
+    widths = set(map(len, rows))
+    if not widths <= set(ncols):
+        k = next(i for i, row in enumerate(rows) if len(row) not in ncols)
+        _features(path, lines[:k], rows[:k], ncols, width, expected)
+        raise DataError(f"{path}: row {lines[k]} has {len(rows[k])} columns{expected}")
+    if widths == {width, width + 1}:  # some rows carry a label
+        cells = list(chain.from_iterable(row[:width] for row in rows))
+    else:
+        cells = list(chain.from_iterable(rows))
+        if widths == {width + 1}:
+            del cells[width::width + 1]  # the label column
+    try:
+        X = np.array(list(map(float, cells))).reshape(len(rows), width)
+    except ValueError:
+        X = None
+    if X is None or not np.isfinite(X).all():
+        for line_num, row in zip(lines, rows):
+            for j, cell in enumerate(row[:width]):
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {line_num}, column {j + 1}: "
+                        f"cannot parse {cell.strip()!r} as a real number"
+                    ) from None
+                if not math.isfinite(v):
+                    raise DataError(
+                        f"{path}: row {line_num}, column {j + 1}: "
+                        f"non-finite value {cell.strip()!r}"
+                    )
+    return X
 
 
 def load_csv(path, has_header=False):
@@ -86,25 +131,20 @@ def load_csv(path, has_header=False):
     Raises DataError with the offending row/column on parse failures,
     non-finite feature values, fewer than 2 distinct labels, or empty input.
     """
-    rows = []
-    labels_raw = []
     width = None
-    for line_num, row in _csv_rows(path, has_header):
+    blocks = []
+    labels_raw = []
+    for lines, rows in _record_blocks(path, has_header, LOAD_CHUNK_ROWS):
         if width is None:
-            width = len(row)
+            width = len(rows[0])
             if width < 2:
                 raise DataError(
-                    f"{path}: row {line_num} has {width} columns; "
+                    f"{path}: row {lines[0]} has {width} columns; "
                     "need at least one feature column plus the label"
                 )
-        elif len(row) != width:
-            raise DataError(
-                f"{path}: row {line_num} has {len(row)} columns, expected {width}"
-            )
-        rows.append(_parse_features(path, line_num, row[:-1]))
-        labels_raw.append(row[-1].strip())
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+        blocks.append(_features(path, lines, rows, (width,), width - 1,
+                                f", expected {width}"))
+        labels_raw.extend(row[-1].strip() for row in rows)
 
     names = []
     seen = {}
@@ -117,26 +157,24 @@ def load_csv(path, has_header=False):
     if len(names) < 2:
         raise DataError(f"{path}: found {len(names)} distinct label(s); need at least 2")
 
-    return Dataset(np.vstack(rows), encoded, tuple(names))
+    return Dataset(np.concatenate(blocks), encoded, tuple(names))
+
+
+def feature_chunks(path, d, has_header=False, chunk_rows=LOAD_CHUNK_ROWS):
+    """The feature matrices of successive blocks of at most chunk_rows rows.
+
+    Rows hold d feature columns, optionally followed by a label column that
+    is ignored. Cells are parsed and checked as in load_csv. A block is read
+    from the file only when the one before it has been taken.
+    """
+    for lines, rows in _record_blocks(path, has_header, chunk_rows):
+        yield _features(path, lines, rows, (d, d + 1), d,
+                        f"; model expects {d} features")
 
 
 def load_features(path, d, has_header=False):
-    """Load the (n, d) feature matrix of a CSV file for prediction.
-
-    Rows hold d feature columns, optionally followed by a label column that
-    is ignored. Cells are parsed and checked as in load_csv.
-    """
-    rows = []
-    for line_num, row in _csv_rows(path, has_header):
-        if len(row) not in (d, d + 1):
-            raise DataError(
-                f"{path}: row {line_num} has {len(row)} columns; model "
-                f"expects {d} features"
-            )
-        rows.append(_parse_features(path, line_num, row[:d]))
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return np.vstack(rows)
+    """Load the (n, d) feature matrix of a CSV file (see feature_chunks)."""
+    return np.concatenate(list(feature_chunks(path, d, has_header)))
 
 
 def save_csv(dataset, path, header=None):

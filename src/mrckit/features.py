@@ -100,8 +100,8 @@ def scalar_feature_matrix(spec, X):
     else:
         Z = X @ frequencies(spec).T
         base = np.empty((X.shape[0], 2 * spec.D))
-        base[:, 0::2] = np.cos(Z)
-        base[:, 1::2] = np.sin(Z)
+        np.cos(Z, out=base[:, 0::2])
+        np.sin(Z, out=base[:, 1::2])
     if spec.include_constant:
         ones = np.ones((base.shape[0], 1))
         base = np.hstack([ones, base])

@@ -136,7 +136,10 @@ class PiecewiseLinearProblem:
         """Subgradient at mu for the argmax token; `sign` may pass sign(mu)."""
         if sign is None:
             sign = np.sign(mu)
-        g = self.a + self.lam * sign
+        return self.add_argmax_row(self.a + self.lam * sign, token)
+
+    def add_argmax_row(self, g, token):
+        """Add the row(s) of F picked by `token` to g in place; returns g."""
         if self.average:
             g += (self._row_weights(token).T @ self.psi).ravel() / self.psi.shape[0]
             return g

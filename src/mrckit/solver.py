@@ -247,6 +247,7 @@ class _Recursion:
                 f"precomputing the {n}x{n} instance Gram matrix needs {8 * n * n} "
                 f"bytes, over the budget of {config.easm_budget_bytes}; use asm instead")
         self.problem = problem
+        self.row_weights = {}  # row r -> its class weights / size, (K,)
         self.G = problem.psi @ problem.psi.T
         self.psi_t = np.ascontiguousarray(problem.psi.T)
         # lam_j times the class indicator of each component j; (m, K)
@@ -266,7 +267,10 @@ class _Recursion:
         indexes its entries that changed (None when none did)."""
         p = self.problem
         i, r = divmod(token, p.rows_per_instance)
-        w_next = self.v - ck * (self.base + self.G[i][:, None] * p._row_weights(r))
+        weights = self.row_weights.get(r)
+        if weights is None:
+            weights = self.row_weights[r] = p._row_weights(r)
+        w_next = self.v - ck * (self.base + self.G[i][:, None] * weights)
         self.v = (1.0 + ek) * w_next - ek * self.w
         self.w = w_next
         if flips is not None:
@@ -285,6 +289,7 @@ def _accelerated(problem, config, mu, iters, recursion, rec, incumbent):
     """
     constant = problem.constant
     floor = config.divergence_floor
+    inf = math.inf
     c, eta = _schedule_arrays(iters + 1)
     raw, token = problem.evaluate(mu)
     _check_value(raw, constant, floor)
@@ -298,22 +303,27 @@ def _accelerated(problem, config, mu, iters, recursion, rec, incumbent):
     rec.start(constant + best_raw)
     rec.snapshot_mu(mu)
     y = mu
+    a, lam = problem.a, problem.lam
     sign = np.sign(mu)
+    linear = a + lam * sign  # the subgradient's a + lam * sign(mu) part
     for k in range(1, iters + 1):
-        g = problem.subgradient_from(mu, token, sign)
+        g = problem.add_argmax_row(linear.copy(), token)
         ck, ek = c[k - 1], eta[k - 1]
         y_next = mu - ck * g
         mu = (1.0 + ek) * y_next - ek * y
         y = y_next
         prev_sign, sign = sign, np.sign(mu)
-        changed = sign != prev_sign
-        nflips = int(np.count_nonzero(changed))
+        flips = (sign != prev_sign).nonzero()[0]
+        nflips = flips.size
+        if nflips:
+            linear[flips] = a[flips] + lam[flips] * sign[flips]
         if recursion is None:
             raw, token = problem.evaluate(mu)
         else:
-            flips = np.flatnonzero(changed) if nflips else None
-            raw, token = recursion.step(mu, token, ck, ek, sign, flips)
-        _check_value(raw, constant, floor)
+            raw, token = recursion.step(mu, token, ck, ek, sign,
+                                        flips if nflips else None)
+        if not floor <= constant + raw < inf:
+            _check_value(raw, constant, floor)
         if raw < best_raw:
             best_raw = raw
             best_mu = mu.copy()

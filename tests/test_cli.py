@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -194,6 +196,70 @@ def test_predict_same_output_with_or_without_labels(blob_csv, tmp_path):
         assert code == 0
         written.add((pred / "predictions.csv").read_bytes())
     assert len(written) == 1
+
+
+def test_byte_order_mark_accepted(blob_csv, tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes("\ufeff".encode() + open(blob_csv, "rb").read())
+    models, predictions = set(), set()
+    for tag, path in (("plain", blob_csv), ("bom", str(bom))):
+        out = tmp_path / f"model_{tag}"
+        assert run_cli(*train_args(path, str(out), anchor=f"file:{path}")) == 0
+        models.add((out / "model.json").read_bytes())
+        pred = tmp_path / f"pred_{tag}"
+        assert run_cli("predict", "--model", str(out / "model.json"), "--data", path,
+                       "--proba", "--out", str(pred)) == 0
+        predictions.add((pred / "predictions.csv").read_bytes())
+    assert len(models) == 1 and len(predictions) == 1
+
+
+def write_stream_input(path, rows, bad_row, bad_cell, header):
+    """`rows` feature rows of d = 2, data row `bad_row` (1-based) holding
+    `bad_cell` in column 2."""
+    X = make_blobs(rows, d=2, seed=4).instances
+    lines = ["f1,f2"] if header else []
+    for i, (a, b) in enumerate(X.tolist(), start=1):
+        lines.append(f"{a!r},{bad_cell if i == bad_row else repr(b)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
+@pytest.mark.parametrize("bad_cell,message", [("nan", "non-finite"),
+                                              ("abc", "cannot parse")])
+def test_predict_bad_cell_past_first_chunk(blob_csv, tmp_path, capsys, header,
+                                           bad_cell, message):
+    out = str(tmp_path / "out")
+    run_cli(*train_args(blob_csv, out))
+    bad = tmp_path / "bad.csv"
+    write_stream_input(bad, 6000, 5000, bad_cell, header)
+    pred = tmp_path / "pred"
+    flags = ["--has-header"] if header else []
+    capsys.readouterr()
+    code = run_cli("predict", "--model", os.path.join(out, "model.json"),
+                   "--data", str(bad), "--out", str(pred), "--proba", *flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"row {5001 if header else 5000}, column 2" in err and message in err
+    assert "Traceback" not in err
+    assert os.listdir(pred) == []  # no predictions.csv and no partial file
+
+
+def test_predict_dev_mode_closes_files(blob_csv, tmp_path):
+    out = str(tmp_path / "out")
+    run_cli(*train_args(blob_csv, out))
+    bad = tmp_path / "bad.csv"
+    write_stream_input(bad, 6000, 5000, "nan", header=False)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(
+        os.path.join(os.path.dirname(__file__), "..", "src")))
+    for data, expected in ((blob_csv, 0), (str(bad), 1)):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m",
+             "mrckit.cli", "predict", "--model", os.path.join(out, "model.json"),
+             "--data", data, "--proba", "--out", str(tmp_path / f"pred{expected}")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == expected, proc.stderr
+        assert "ResourceWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("edit,field", [

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mrckit.dataset import (DataError, apply_normalizer, fit_normalizer,
-                            load_csv, save_csv, stratified_folds,
-                            stratified_split)
+                            load_csv, load_features, save_csv,
+                            stratified_folds, stratified_split)
 from conftest import make_blobs
 
 HABERMAN = os.path.join(os.path.dirname(__file__), "..", "data", "haberman.csv")
@@ -42,6 +42,15 @@ def test_unparseable_cell_rejected(tmp_path):
     path = write(tmp_path, "1.0,x,a\n3.0,4.0,b\n")
     with pytest.raises(DataError, match=r"row 1, column 2"):
         load_csv(path)
+
+
+def test_byte_order_mark_skipped(tmp_path):
+    text = "1.0,2.0,a\n3.0,4.0,b\n"
+    plain = write(tmp_path, text)
+    bom = write(tmp_path, "\ufeff" + text, name="bom.csv")
+    assert np.array_equal(load_csv(bom).instances, load_csv(plain).instances)
+    assert load_csv(bom).label_names == ("a", "b")
+    assert np.array_equal(load_features(bom, 2), load_features(plain, 2))
 
 
 def test_empty_file_rejected(tmp_path):
