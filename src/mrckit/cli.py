@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from . import __version__, classifier, estimate, features, objective, parallel
 from .dataset import (DataError, feature_chunks, load_csv, load_features,
                       stratified_folds, stratified_split)
 from .simplex import SimplexError
-from .solver import SolverConfig, SolverError, solve
+from .solver import METHODS, SolverConfig, SolverError, lp_fits, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -31,6 +32,8 @@ EXIT_NUMERIC = 2
 # `predict` maps, scores and writes this many rows at a time, so its memory
 # does not grow with the input.
 PREDICT_CHUNK_ROWS = 2048
+
+SOLVER_CHOICES = [method.replace("_", "-") for method in METHODS]
 
 
 def child_seed(master, counter):
@@ -61,8 +64,7 @@ def build_parser():
         p.add_argument("--lambda0", type=float, default=0.3)
         p.add_argument("--delta", type=float, default=0.05)
         p.add_argument("--rademacher-R", dest="rademacher_R", type=float, default=None)
-        p.add_argument("--solver", default="easm-restart",
-                       choices=["bsm", "asm", "easm", "easm-restart", "lp"])
+        p.add_argument("--solver", default="easm-restart", choices=SOLVER_CHOICES)
         p.add_argument("--max-iters", type=int, default=200_000)
         p.add_argument("--restart-period", type=int, default=10_000)
         p.add_argument("--anchor", default="train",
@@ -96,8 +98,9 @@ def build_parser():
     p_bounds.add_argument("--lambda-delta-mode", choices=["hoeffding"], default=None,
                           help="derive lambda_delta from the stored provenance")
     p_bounds.add_argument("--delta", type=float, default=0.05)
-    p_bounds.add_argument("--solver", default="lp",
-                          choices=["bsm", "asm", "easm", "easm-restart", "lp"])
+    p_bounds.add_argument("--solver", default=None, choices=SOLVER_CHOICES,
+                          help="default: lp when the bound problems fit it, "
+                               "else easm-restart")
     p_bounds.add_argument("--max-iters", type=int, default=200_000)
     p_bounds.add_argument("--restart-period", type=int, default=10_000)
     p_bounds.add_argument("--out", required=True)
@@ -131,14 +134,16 @@ def build_parser():
     return parser
 
 
-def _spec_from_args(args, data, seed_counter=0):
+def _spec_from_args(args, data, seed_counter=0, sigma=None):
+    """The feature map of the flags; `sigma` overrides --sigma."""
     rff_seed = args.rff_seed
     if rff_seed is None:
         rff_seed = args.seed * 1000003 + seed_counter
     if args.features == "identity":
         return features.identity_spec(data.num_classes, data.d)
     return features.rff_spec(data.num_classes, data.d, D=args.D,
-                             sigma=args.sigma, seed=rff_seed)
+                             sigma=args.sigma if sigma is None else sigma,
+                             seed=rff_seed)
 
 
 def _solver_config_from_args(args, **overrides):
@@ -147,9 +152,7 @@ def _solver_config_from_args(args, **overrides):
         max_iters=args.max_iters,
         restart_period=args.restart_period,
     )
-    for key, val in overrides.items():
-        setattr(cfg, key, val)
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _uncertainty_args(args, **overrides):
@@ -272,6 +275,20 @@ def cmd_bounds(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = classifier.load_model(args.model)
+    det = None
+    if args.deterministic:
+        # the anchor is mapped once: the one-hot rule is read off its scores
+        # and both bound problems are built on the same scalar features
+        psi = features.scalar_feature_matrix(model.feature_spec, model.instance_anchor)
+        labels = np.argmax(psi @ model.mu_star.reshape(model.num_classes, -1).T, axis=1)
+        rule = np.eye(model.num_classes)[labels]
+        if args.solver is None:  # flags.solver names the method that ran
+            high = objective.build_upper_bound_problem(model.uncertainty, psi, rule)
+            fits = lp_fits(high) and lp_fits(objective.lower_from_upper(high))
+            args.solver = "lp" if fits else "easm-restart"
+        det = classifier.rule_bounds(model.uncertainty, psi, rule,
+                                     _solver_config_from_args(args))
+
     report = _report_base(args)
     report.update({
         "upper_bound": model.minimax_risk,
@@ -282,15 +299,7 @@ def cmd_bounds(args):
             "lower": model.solver_info.get("lower_certificate"),
         },
     })
-
-    if args.deterministic:
-        # the anchor is mapped once: the one-hot rule is read off its scores
-        # and both bound problems are built on the same scalar features
-        psi = features.scalar_feature_matrix(model.feature_spec, model.instance_anchor)
-        labels = np.argmax(psi @ model.mu_star.reshape(model.num_classes, -1).T, axis=1)
-        det = classifier.rule_bounds(model.uncertainty, psi,
-                                     np.eye(model.num_classes)[labels],
-                                     _solver_config_from_args(args))
+    if det is not None:
         report["deterministic_rule"] = {
             "lower": det.lower, "upper": det.upper,
             "lower_raw": det.lower_raw, "upper_raw": det.upper_raw,
@@ -419,7 +428,7 @@ def cmd_bench_solvers(args):
         data, _spec_from_args(args, data), **_uncertainty_args(args))
     problem = objective.learning_problem(unc, psi, spec.num_classes)
 
-    methods = ["bsm", "asm", "easm", "easm_restart"]
+    methods = [method for method in METHODS if method != "lp"]
     summary = {"methods": {}, "p": problem.num_rows, "m": problem.dimension}
     for name in methods:
         cfg = _solver_config_from_args(args, method=name, record_trace=True,
@@ -437,9 +446,8 @@ def cmd_bench_solvers(args):
             "gamma": run.sparsity_gamma,
             "trace": str(trace_path),
         }
-    lp = SolverConfig(method="lp")
-    if problem.num_rows <= lp.lp_max_rows and problem.dimension <= lp.lp_max_cols:
-        lp_run = solve(problem, lp)
+    if lp_fits(problem):
+        lp_run = solve(problem, SolverConfig(method="lp"))
         summary["lp_optimum"] = lp_run.best_value
         for name in methods:
             summary["methods"][name]["gap_to_lp"] = (
@@ -468,10 +476,7 @@ def cmd_model_select(args):
             anchor = train_set.instances[rows]
         best = None
         for si, sigma in enumerate(grid):
-            spec = features.rff_spec(
-                data.num_classes, data.d, D=args.D, sigma=float(sigma),
-                seed=(args.rff_seed if args.rff_seed is not None
-                      else args.seed * 1000003 + split_i))
+            spec = _spec_from_args(args, data, split_i, sigma=float(sigma))
             model = classifier.train(
                 train_set, spec, **_uncertainty_args(args),
                 solver_config=select_cfg, anchor=anchor, compute_lower=False)

@@ -132,11 +132,9 @@ class PiecewiseLinearProblem:
         """Objective value (constant excluded) and the argmax token."""
         return self._value_at(mu, self.scores(mu))
 
-    def subgradient_from(self, mu, token, sign=None):
-        """Subgradient at mu for the argmax token; `sign` may pass sign(mu)."""
-        if sign is None:
-            sign = np.sign(mu)
-        return self.add_argmax_row(self.a + self.lam * sign, token)
+    def subgradient_from(self, mu, token):
+        """Subgradient at mu for the argmax token."""
+        return self.add_argmax_row(self.a + self.lam * np.sign(mu), token)
 
     def add_argmax_row(self, g, token):
         """Add the row(s) of F picked by `token` to g in place; returns g."""

@@ -29,7 +29,7 @@ class WorkerError(RuntimeError):
 
 
 # Each worker holds its own problem (and, under E-ASM, its own n x n Gram,
-# which SolverConfig.easm_budget_bytes checks one solve at a time) and its
+# which solver.EASM_BUDGET_BYTES checks one solve at a time) and its
 # own BLAS thread pool, so memory and threads grow with the worker count.
 # Two workers is the count whose time and summed peak RSS were measured.
 MAX_WORKERS = 2

@@ -11,13 +11,15 @@ Methods:
   easm_restart  easm in segments, each restarted from the incumbent
   lp            exact reformulation solved by the in-house simplex
 
-asm, easm and easm_restart run one loop; they differ only in where the
-value and argmax row at each iterate come from (problem.evaluate, or the
-recursion, which trades the per-iteration feature-matrix product for
-sparse column updates driven by sign changes of mu), so their iterates are
-identical by construction. The recursion's values carry rounding drift, so
-the E-ASM methods re-evaluate the objective exactly at the returned point
-and report that value; the difference is kept as SolverRun.value_drift.
+All four subgradient methods run one loop, started at mu = 0. They differ
+only in the step rule (bsm's normalized step, or the accelerated schedule)
+and in where the value and argmax row at each iterate come from
+(problem.evaluate, or the recursion, which trades the per-iteration
+feature-matrix product for sparse column updates driven by sign changes of
+mu), so the asm and easm iterates are identical by construction. The
+recursion's values carry rounding drift, so the E-ASM methods re-evaluate
+the objective exactly at the returned point and report that value; the
+difference is kept as SolverRun.value_drift.
 Argmax ties break to the lowest row index everywhere and sign(0) = 0,
 which makes all methods bit-deterministic.
 """
@@ -42,22 +44,25 @@ class UnboundedObjectiveError(SolverError):
 
 
 class DivergenceError(SolverError):
-    """Non-finite objective value or the configured divergence floor crossed."""
+    """Non-finite objective value or DIVERGENCE_FLOOR crossed."""
+
+
+METHODS = ("bsm", "asm", "easm", "easm_restart", "lp")
+
+DIVERGENCE_FLOOR = -1e9      # a value below it means unbounded below
+LP_MAX_ROWS = 2000           # the simplex path's size limits (lp_fits)
+LP_MAX_COLS = 500
+EASM_BUDGET_BYTES = 2 << 30  # refuse G = psi psi^T beyond this
 
 
 @dataclass
 class SolverConfig:
-    method: str = "easm_restart"
+    method: str = "easm_restart"       # one of METHODS
     max_iters: int = 200_000
     restart_period: int = 10_000
-    initial_mu: np.ndarray | None = None
     record_trace: bool = False
     trace_every: int = 1
     record_iterates: bool = False
-    divergence_floor: float = -1e9
-    lp_max_rows: int = 2000
-    lp_max_cols: int = 500
-    easm_budget_bytes: int = 2 << 30   # refuse G = psi psi^T beyond this
 
 
 @dataclass
@@ -70,7 +75,7 @@ class SolverRun:
     certificate: str = "subgradient"   # "lp" when the exact path produced it
     trace: list | None = None          # rows (iteration, seconds, best_value, gamma)
     iterates: np.ndarray | None = None
-    sparsity_gamma: float | None = None
+    sparsity_gamma: float | None = None  # sign changes / (iterations x m)
     timings: dict = field(default_factory=dict)
     value_drift: float = 0.0           # recursion's best value minus the exact one
 
@@ -83,58 +88,46 @@ def subgradient(problem, mu):
 
 
 def solve(problem, config):
-    method = config.method
-    if method == "bsm":
-        return solve_bsm(problem, config)
-    if method == "asm":
-        return solve_asm(problem, config)
-    if method == "easm":
-        return solve_easm(problem, config)
-    if method == "easm_restart":
-        return solve_easm_restart(problem, config)
-    if method == "lp":
+    """Minimize `problem` with config.method, one of METHODS."""
+    if config.method == "lp":
         return solve_lp(problem, config)
-    raise SolverError(f"unknown solver method {config.method!r}")
+    if config.method not in METHODS:
+        raise SolverError(f"unknown solver method {config.method!r}")
+    return _solve_accelerated(problem, config, config.method)
 
 
-def _start_point(problem, config):
-    if config.max_iters < 1:
-        raise SolverError("max_iters must be at least 1")
-    if config.initial_mu is None:
-        return np.zeros(problem.dimension)
-    mu = np.asarray(config.initial_mu, dtype=float).copy()
-    if mu.size != problem.dimension:
-        raise SolverError("initial_mu has the wrong length")
-    return mu
+def lp_fits(problem):
+    """Whether `problem` is within the simplex path's size limits."""
+    return problem.num_rows <= LP_MAX_ROWS and problem.dimension <= LP_MAX_COLS
 
 
-def _check_value(value, constant, floor):
+def _check_value(value, constant):
     total = constant + value
     if not math.isfinite(total):
         raise DivergenceError("objective became non-finite")
-    if total < floor:
+    if total < DIVERGENCE_FLOOR:
         raise DivergenceError(
-            f"objective {total:.6g} crossed the divergence floor {floor:.6g}; "
-            "the problem is likely unbounded below (empty uncertainty set)"
+            f"objective {total:.6g} crossed the divergence floor "
+            f"{DIVERGENCE_FLOOR:.6g}; the problem is likely unbounded below "
+            "(empty uncertainty set)"
         )
 
 
 class _RunRecorder:
-    """Trace/iterate bookkeeping shared by the subgradient loops."""
+    """Trace/iterate bookkeeping of the subgradient loop, segment by segment."""
 
     def __init__(self, config, dim):
         self.trace = [] if config.record_trace else None
         self.every = max(1, config.trace_every)
         self.iterates = [] if config.record_iterates else None
         self.dim = dim
-        self.segment(0, 0.0)
 
     def segment(self, iter_offset, time_offset):
-        """Start a segment: rows are offset, gamma and the clock restart."""
+        """Start a segment: rows are offset, the sign-change count and the
+        clock restart."""
         self.iter_offset = iter_offset
         self.time_offset = time_offset
         self.changed = 0
-        self.total = 0
         self.t0 = time.perf_counter()
 
     def snapshot_mu(self, mu):
@@ -147,63 +140,18 @@ class _RunRecorder:
             self.trace.append((0, self.time_offset, value, 0.0))
 
     def step(self, k, best_value, nnz_delta):
+        """Row of step k of the segment; gamma is the segment's so far."""
         self.changed += nnz_delta
-        self.total += 1
         if self.trace is not None and k % self.every == 0:
             self.trace.append((
                 self.iter_offset + k,
                 self.time_offset + time.perf_counter() - self.t0,
                 best_value,
-                self.gamma(),
+                self.changed / (k * self.dim),
             ))
-
-    def gamma(self):
-        if self.total == 0:
-            return 0.0
-        return self.changed / (self.total * self.dim)
 
     def loop_seconds(self):
         return time.perf_counter() - self.t0
-
-
-def solve_bsm(problem, config):
-    """Basic subgradient method with the normalized 1/sqrt(k+1) step."""
-    mu = _start_point(problem, config)
-    constant = problem.constant
-    floor = config.divergence_floor
-    raw, token = problem.evaluate(mu)
-    _check_value(raw, constant, floor)
-    best_raw = raw
-    best_mu = mu.copy()
-    rec = _RunRecorder(config, mu.size)
-    rec.start(constant + best_raw)
-    rec.snapshot_mu(mu)
-    prev_sign = np.sign(mu)
-    status = "max_iters"
-    k = 0
-    for k in range(1, config.max_iters + 1):
-        g = problem.subgradient_from(mu, token)
-        gnorm = math.sqrt(float(g @ g))
-        if gnorm == 0.0:
-            status = "stationary"  # zero subgradient: mu is a minimizer
-            rec.step(k, constant + best_raw, 0)
-            break
-        mu = mu - g / (math.sqrt(k + 1.0) * gnorm)
-        raw, token = problem.evaluate(mu)
-        _check_value(raw, constant, floor)
-        if raw < best_raw:
-            best_raw = raw
-            best_mu = mu.copy()
-        sign = np.sign(mu)
-        rec.step(k, constant + best_raw, int(np.count_nonzero(sign != prev_sign)))
-        prev_sign = sign
-        rec.snapshot_mu(mu)
-    return SolverRun(
-        best_mu=best_mu, best_value=constant + best_raw, iterations_done=k,
-        method="bsm", status=status, trace=rec.trace,
-        iterates=_stack(rec.iterates), sparsity_gamma=rec.gamma(),
-        timings={"loop_seconds": rec.loop_seconds(), "iterations": k},
-    )
 
 
 def _schedule_arrays(K):
@@ -239,13 +187,13 @@ class _Recursion:
     by the matching psi columns.
     """
 
-    def __init__(self, problem, config):
+    def __init__(self, problem):
         _require_max(problem, "E-ASM")
         n = problem.psi.shape[0]
-        if 8 * n * n > config.easm_budget_bytes:
+        if 8 * n * n > EASM_BUDGET_BYTES:
             raise SolverError(
                 f"precomputing the {n}x{n} instance Gram matrix needs {8 * n * n} "
-                f"bytes, over the budget of {config.easm_budget_bytes}; use asm instead")
+                f"bytes, over the budget of {EASM_BUDGET_BYTES}; use asm instead")
         self.problem = problem
         self.row_weights = {}  # row r -> its class weights / size, (K,)
         self.G = problem.psi @ problem.psi.T
@@ -280,19 +228,22 @@ class _Recursion:
         return p._value_at(mu, self.v)
 
 
-def _accelerated(problem, config, mu, iters, recursion, rec, incumbent):
-    """One segment of the accelerated schedule, started afresh at mu.
+def _accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
+    """One segment of up to `iters` steps, started afresh at mu.
 
-    Values and argmax rows come from problem.evaluate, or from the recursion
-    when one is given. The incumbent (value, mu) of earlier segments stays
-    the best unless beaten. Returns the best (value, mu), constant included.
+    A step is bsm's mu - g / (sqrt(k+1) ||g||) when `basic`, which stops
+    as "stationary" at g = 0, else the accelerated schedule's. Values and
+    argmax rows come from problem.evaluate, or from the recursion when one
+    is given. The incumbent (value, mu) of earlier segments stays the best
+    unless beaten. Returns the best value (constant included), its mu, the
+    iterations run and the status.
     """
     constant = problem.constant
-    floor = config.divergence_floor
+    floor = DIVERGENCE_FLOOR
     inf = math.inf
     c, eta = _schedule_arrays(iters + 1)
     raw, token = problem.evaluate(mu)
-    _check_value(raw, constant, floor)
+    _check_value(raw, constant)
     if recursion is not None:
         recursion.start(mu)
     best_raw = raw
@@ -306,12 +257,21 @@ def _accelerated(problem, config, mu, iters, recursion, rec, incumbent):
     a, lam = problem.a, problem.lam
     sign = np.sign(mu)
     linear = a + lam * sign  # the subgradient's a + lam * sign(mu) part
+    status = "max_iters"
     for k in range(1, iters + 1):
         g = problem.add_argmax_row(linear.copy(), token)
-        ck, ek = c[k - 1], eta[k - 1]
-        y_next = mu - ck * g
-        mu = (1.0 + ek) * y_next - ek * y
-        y = y_next
+        if basic:
+            gnorm = math.sqrt(float(g @ g))
+            if gnorm == 0.0:  # zero subgradient: mu is a minimizer
+                status = "stationary"
+                rec.step(k, constant + best_raw, 0)
+                break
+            mu = mu - g / (math.sqrt(k + 1.0) * gnorm)
+        else:
+            ck, ek = c[k - 1], eta[k - 1]
+            y_next = mu - ck * g
+            mu = (1.0 + ek) * y_next - ek * y
+            y = y_next
         prev_sign, sign = sign, np.sign(mu)
         flips = (sign != prev_sign).nonzero()[0]
         nflips = flips.size
@@ -323,57 +283,71 @@ def _accelerated(problem, config, mu, iters, recursion, rec, incumbent):
             raw, token = recursion.step(mu, token, ck, ek, sign,
                                         flips if nflips else None)
         if not floor <= constant + raw < inf:
-            _check_value(raw, constant, floor)
+            _check_value(raw, constant)
         if raw < best_raw:
             best_raw = raw
             best_mu = mu.copy()
         rec.step(k, constant + best_raw, nflips)
         rec.snapshot_mu(mu)
-    return constant + best_raw, best_mu
+    return constant + best_raw, best_mu, k, status
 
 
-def _solve_accelerated(problem, config, method, period=None):
-    """The accelerated loop in segments of `period` iterations (one segment
-    when None), each restarted from the incumbent with the schedule reset.
+def _solve_accelerated(problem, config, method):
+    """Run subgradient method `method` from mu = 0: the loop in segments of
+    restart_period iterations for easm_restart (one segment otherwise), each
+    restarted from the incumbent with the schedule reset.
 
     The E-ASM methods carry values by recursion; they end by evaluating the
     objective exactly at the returned point and report that value.
     """
+    if config.max_iters < 1:
+        raise SolverError("max_iters must be at least 1")
+    period = config.max_iters
+    if method == "easm_restart":
+        if config.restart_period < 1:
+            raise SolverError("restart_period must be at least 1")
+        period = config.restart_period
     recursion = None
     timings = {}
-    if method != "asm":
+    if method in ("easm", "easm_restart"):
         t0 = time.perf_counter()
-        recursion = _Recursion(problem, config)
+        recursion = _Recursion(problem)
         timings["precompute_seconds"] = time.perf_counter() - t0
-    mu = _start_point(problem, config)
-    rec = _RunRecorder(config, mu.size)
+    m = problem.dimension
+    mu = np.zeros(m)
+    rec = _RunRecorder(config, m)
     best_value, best_mu = math.inf, None
-    done = 0
-    loop_seconds = changed_frac = 0.0
-    while done < config.max_iters:
-        seg = min(period or config.max_iters, config.max_iters - done)
+    done = flips = 0
+    loop_seconds = 0.0
+    status = "max_iters"
+    while done < config.max_iters and status == "max_iters":
         rec.segment(done, loop_seconds)
         incumbent = None if best_mu is None else (best_value, best_mu)
-        value, seg_mu = _accelerated(problem, config, mu, seg, recursion,
-                                     rec, incumbent)
+        value, seg_mu, ran, status = _accelerated(
+            problem, mu, min(period, config.max_iters - done), rec, incumbent,
+            recursion, basic=method == "bsm")
         if value < best_value:
             best_value, best_mu = value, seg_mu
-        done += seg
+        done += ran
+        flips += rec.changed
         loop_seconds += rec.loop_seconds()
-        changed_frac += rec.gamma() * seg
         mu = best_mu
     drift = 0.0
     if recursion is not None:
         exact = problem.objective(best_mu)
         best_value, drift = exact, best_value - exact
     timings.update(loop_seconds=loop_seconds, iterations=done)
-    # restarted runs weight each segment's gamma by its length
     return SolverRun(
         best_mu=best_mu, best_value=best_value, iterations_done=done,
-        method=method, trace=rec.trace, iterates=_stack(rec.iterates),
-        sparsity_gamma=rec.gamma() if period is None else changed_frac / done,
+        method=method, status=status, trace=rec.trace,
+        iterates=_stack(rec.iterates), sparsity_gamma=flips / (done * m),
         timings=timings, value_drift=drift,
     )
+
+
+def solve_bsm(problem, config):
+    """Basic subgradient method with the normalized 1/sqrt(k+1) step."""
+    return _solve_accelerated(problem, config, "bsm")
 
 
 def solve_asm(problem, config):
@@ -392,14 +366,12 @@ def solve_easm_restart(problem, config):
     Each segment resets the extrapolation schedule (k back to 1) and starts
     at the best point found so far; the incumbent is kept across segments.
     """
-    if config.restart_period < 1:
-        raise SolverError("restart_period must be at least 1")
-    return _solve_accelerated(problem, config, "easm_restart",
-                              config.restart_period)
+    return _solve_accelerated(problem, config, "easm_restart")
 
 
-def solve_lp(problem, config):
-    """Exact solve of the equivalent linear program.
+def solve_lp(problem, config=None):
+    """Exact solve of the equivalent linear program (`config` is unused:
+    the simplex path has no settings).
 
     Variables (mu1, mu2, nu+, nu-, slack) with mu = mu1 - mu2; the slack
     basis built from nu is feasible, so no phase-1 pass is needed.
@@ -407,10 +379,10 @@ def solve_lp(problem, config):
     _require_max(problem, "the LP path")
     p = problem.num_rows
     m = problem.dimension
-    if p > config.lp_max_rows or m > config.lp_max_cols:
+    if not lp_fits(problem):
         raise SolverError(
             f"problem size p={p}, m={m} exceeds the exact-solver budget "
-            f"(p <= {config.lp_max_rows}, m <= {config.lp_max_cols})"
+            f"(p <= {LP_MAX_ROWS}, m <= {LP_MAX_COLS})"
         )
     t0 = time.perf_counter()
     F, b = problem.F, problem.b

@@ -321,6 +321,24 @@ def test_bounds_deterministic_maps_anchor_once(blob_csv, tmp_path, mapped_rows):
     assert mapped_rows == [60]
 
 
+def test_bounds_default_solver_follows_problem_size(blob_csv, tmp_path):
+    # default features give m = 2000, past the LP's column limit: the bound
+    # problems go to E-ASM-R; a small identity model keeps the exact LP
+    rff, ident = tmp_path / "rff", tmp_path / "ident"
+    assert run_cli("train", "--data", blob_csv, "--out", str(rff),
+                   "--max-iters", "200") == 0
+    assert run_cli(*train_args(blob_csv, str(ident))) == 0
+    for model_dir, solver, certificate in ((rff, "easm-restart", "subgradient"),
+                                           (ident, "lp", "lp")):
+        out = model_dir / "bounds"
+        code = run_cli("bounds", "--model", str(model_dir / "model.json"),
+                       "--out", str(out), "--deterministic", "--max-iters", "200")
+        assert code == 0
+        rep = json.loads((out / "bounds.json").read_text())
+        assert rep["flags"]["solver"] == solver
+        assert rep["deterministic_rule"]["certificates"] == [certificate] * 2
+
+
 def test_bounds_rejects_small_lambda_delta(blob_csv, tmp_path):
     out = str(tmp_path / "out")
     run_cli(*train_args(blob_csv, out))

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mrckit import solver
 from mrckit.solver import (DivergenceError, SolverConfig, SolverError,
                            UnboundedObjectiveError, _schedule_arrays, solve,
                            solve_asm, solve_bsm, solve_easm,
@@ -18,9 +19,16 @@ def abs_value_problem():
         F=np.array([[1.0], [-1.0]]), b=np.zeros(2))
 
 
-def unbounded_problem():
+def shifted_abs_value_problem():
+    """f(mu) = |mu - 1| via rows (mu - 1, 1 - mu): 1 at the start mu = 0."""
     return row_problem(
-        a=np.array([-1.0]), lam=np.array([0.5]),
+        a=np.zeros(1), lam=np.zeros(1),
+        F=np.array([[1.0], [-1.0]]), b=np.array([-1.0, 1.0]))
+
+
+def unbounded_problem(slope=-1.0):
+    return row_problem(
+        a=np.array([slope]), lam=np.array([0.5]),
         F=np.array([[0.0]]), b=np.array([0.0]))
 
 
@@ -54,8 +62,7 @@ def test_subgradient_sign_zero_and_ties():
 
 
 def test_bsm_on_abs_value():
-    run = solve_bsm(abs_value_problem(),
-                    SolverConfig(max_iters=10_000, initial_mu=np.array([1.0])))
+    run = solve_bsm(shifted_abs_value_problem(), SolverConfig(max_iters=10_000))
     assert run.best_value <= 1e-2
     assert run.best_value >= 0.0
 
@@ -70,10 +77,10 @@ def test_bsm_constant_objective_stops():
 
 
 def test_bsm_divergence_floor():
-    cfg = SolverConfig(max_iters=100_000, divergence_floor=-10.0,
-                       initial_mu=np.array([1.0]))
+    # the first step, of length 1/sqrt(2), already falls below -1e9
+    cfg = SolverConfig(max_iters=100_000)
     with pytest.raises(DivergenceError, match="floor"):
-        solve_bsm(unbounded_problem(), cfg)
+        solve_bsm(unbounded_problem(slope=-1e10), cfg)
 
 
 def test_schedule_values():
@@ -87,8 +94,7 @@ def test_schedule_values():
 
 
 def test_asm_on_abs_value():
-    run = solve_asm(abs_value_problem(),
-                    SolverConfig(max_iters=10_000, initial_mu=np.array([1.0])))
+    run = solve_asm(shifted_abs_value_problem(), SolverConfig(max_iters=10_000))
     assert run.best_value <= 1e-3
 
 
@@ -101,11 +107,11 @@ def test_easm_requires_materialized():
         solve_easm(fm, SolverConfig(max_iters=10))
 
 
-def test_easm_memory_budget():
+def test_easm_memory_budget(monkeypatch):
     problem, *_ = random_learning_problem(seed=0, n=20)
-    cfg = SolverConfig(max_iters=10, easm_budget_bytes=8)
+    monkeypatch.setattr(solver, "EASM_BUDGET_BYTES", 8)
     with pytest.raises(SolverError, match="budget"):
-        solve_easm(problem, cfg)
+        solve_easm(problem, SolverConfig(max_iters=10))
 
 
 def test_easm_halfcolumn_update_by_hand():
@@ -238,11 +244,11 @@ def test_lp_unbounded():
         solve_lp(unbounded_problem(), SolverConfig())
 
 
-def test_lp_size_budget():
+def test_lp_size_budget(monkeypatch):
     problem, *_ = random_learning_problem(seed=6, n=10)
-    cfg = SolverConfig(lp_max_rows=5)
+    monkeypatch.setattr(solver, "LP_MAX_ROWS", 5)
     with pytest.raises(SolverError, match="budget"):
-        solve_lp(problem, cfg)
+        solve_lp(problem, SolverConfig())
 
 
 def test_lp_dominates_subgradient_methods(rng):
@@ -275,3 +281,39 @@ def test_gamma_recorded(rng):
     run = solve_easm(problem, SolverConfig(max_iters=300))
     assert run.sparsity_gamma is not None
     assert 0.0 <= run.sparsity_gamma <= 1.0
+
+
+@pytest.mark.parametrize("method", ["bsm", "asm", "easm", "easm_restart"])
+def test_gamma_is_exact_sign_change_count(method):
+    # gamma = sign changes between consecutive iterates, counted within each
+    # segment, over (iterations x m); segments of 70 leave a short last one
+    problem, *_ = random_learning_problem(seed=3, n=20)
+    cfg = SolverConfig(method=method, max_iters=300, restart_period=70,
+                       record_iterates=True)
+    run = solve(problem, cfg)
+    period = 70 if method == "easm_restart" else 300
+    signs = np.sign(run.iterates)
+    changes = row = 0
+    for first in range(0, run.iterations_done, period):
+        seg = signs[row:row + min(period, run.iterations_done - first) + 1]
+        changes += int(np.count_nonzero(seg[1:] != seg[:-1]))
+        row += len(seg)
+    assert row == len(signs)  # each segment records its start and its steps
+    assert run.sparsity_gamma == changes / (run.iterations_done * problem.dimension)
+
+
+def test_bsm_stationary_exit_through_solve():
+    # f(mu) = max(0.5 - mu, 0): the first step reaches mu = 1/sqrt(2), where
+    # the flat row wins and the subgradient is 0 at iteration 2
+    problem = row_problem(
+        a=np.zeros(1), lam=np.zeros(1),
+        F=np.array([[-1.0], [0.0]]), b=np.array([0.5, 0.0]))
+    run = solve(problem, SolverConfig(method="bsm", max_iters=100,
+                                      record_trace=True, record_iterates=True))
+    assert run.status == "stationary"
+    assert run.iterations_done == 2
+    assert [row[0] for row in run.trace] == [0, 1, 2]
+    assert run.best_value == 0.0
+    assert run.best_mu[0] == pytest.approx(2.0 ** -0.5, abs=1e-15)
+    assert run.sparsity_gamma == 1 / 2  # one sign change over two iterations
+    assert len(run.iterates) == 2
