@@ -283,9 +283,9 @@ def cmd_bounds(args):
         labels = np.argmax(psi @ model.mu_star.reshape(model.num_classes, -1).T, axis=1)
         rule = np.eye(model.num_classes)[labels]
         if args.solver is None:  # flags.solver names the method that ran
+            # the lower problem is the upper one negated: the same size
             high = objective.build_upper_bound_problem(model.uncertainty, psi, rule)
-            fits = lp_fits(high) and lp_fits(objective.lower_from_upper(high))
-            args.solver = "lp" if fits else "easm-restart"
+            args.solver = "lp" if lp_fits(high) else "easm-restart"
         det = classifier.rule_bounds(model.uncertainty, psi, rule,
                                      _solver_config_from_args(args))
 

@@ -1,9 +1,36 @@
-"""Dense two-phase revised simplex with Bland's anti-cycling rule.
+"""Two-phase revised simplex that factors only the dense part of the basis.
 
-Solves  min c^T x  s.t.  A x = b, x >= 0  at double precision. Built for
-correctness rather than speed: it is the exact oracle the subgradient
-methods are checked against, so Bland's rule is used throughout and the
-basis inverse is refactorized periodically to contain round-off.
+Solves  min c^T x  s.t.  A x = b, x >= 0  at double precision. It is the
+exact path for the learning, bound and feasibility-repair LPs, and the
+oracle the subgradient methods are checked against.
+
+Structure. Most columns of those LPs are signed unit vectors ±e_i: slacks,
+deviation variables and the phase-1 artificials. A basic unit column
+covers its row, so with the covered rows first the basis is block
+triangular,
+
+    B = [ S  A_cd ]     S = diag(±1) on the covered rows,
+        [ 0  M    ]     M = the dense basic columns on the uncovered rows,
+
+and only the k×k block M is factored, as an explicit inverse. Each pivot
+updates that inverse in O(k²) by one of four moves (a dense column
+replaces a dense one, bordering, reduction, a row swap); it is recomputed
+every REFACTOR_EVERY pivots and before any exit. Unit columns are never
+stored. Phase 1 starts from a unit column whose sign matches b_i on each
+row that has one and from the row's artificial elsewhere.
+
+Pricing is Dantzig's rule (most negative reduced cost), with the largest
+pivot among ratio-test ties. After STALL_LIMIT degenerate pivots in a row
+Bland's rule takes over until the objective moves again, which precludes
+cycling.
+
+Degeneracy. Each phase first raises every basic value by a small
+deterministic amount (PERTURBATION, relative): a perturbation of the
+right-hand side that breaks the ties degenerate vertices would otherwise
+resolve by round-off. When the perturbed problem is optimal, the basic
+values are re-read from the final basis under the true b; dual simplex
+pivots repair any that came out negative, and a last unperturbed primal
+pass confirms optimality, so x is a vertex of the original LP.
 """
 
 from __future__ import annotations
@@ -15,6 +42,13 @@ import numpy as np
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
+
+PERTURBATION = 1e-7   # relative raise of each basic value when a phase starts
+FEASIBILITY = 1e-7    # a warm basis with a value below -FEASIBILITY is not used
+PIVOT_FLOOR = 1e-11   # a smaller pivot from an updated inverse forces a refactor
+REFACTOR_EVERY = 64   # pivots between fresh inversions of the dense block
+STALL_LIMIT = 50      # degenerate pivots in a row before Bland's rule
+_GOLDEN = 0.6180339887498949  # spreads the perturbation over the basic slots
 
 
 class SimplexError(RuntimeError):
@@ -34,10 +68,11 @@ def solve_standard_form(c, A, b, basis=None, tol=1e-9, max_pivots=None):
     """Minimize c^T x subject to A x = b, x >= 0.
 
     If `basis` (column indices of a feasible basis) is given, phase 1 is
-    skipped. Returns a SimplexResult whose status is one of "optimal",
-    "unbounded", "infeasible".
+    skipped; a singular or infeasible one falls back to phase 1. Returns a
+    SimplexResult whose status is one of "optimal", "unbounded",
+    "infeasible".
     """
-    A = np.array(A, dtype=float)
+    A = np.asarray(A, dtype=float)
     b = np.array(b, dtype=float)
     c = np.array(c, dtype=float)
     p, n = A.shape
@@ -45,170 +80,298 @@ def solve_standard_form(c, A, b, basis=None, tol=1e-9, max_pivots=None):
         raise ValueError("inconsistent LP dimensions")
     if max_pivots is None:
         max_pivots = 2000 + 50 * (p + n)
+    lp = _Simplex(A, b, tol, max_pivots)
 
-    if basis is not None:
-        basis = np.array(basis, dtype=int)
-        B_inv = _invert_basis(A, basis)
-        if np.min(B_inv @ b) < -1e-7:
-            basis = None  # supplied basis not feasible; fall back to phase 1
-
-    pivots_total = 0
-    if basis is None:
-        flip = b < 0
-        A[flip] *= -1.0
-        b[flip] *= -1.0
-        A1 = np.hstack([A, np.eye(p)])
-        c1 = np.concatenate([np.zeros(n), np.ones(p)])
-        basis = np.arange(n, n + p)
-        B_inv = np.eye(p)
-        status, basis, B_inv, pivots = _iterate(
-            A1, b, c1, basis, B_inv, enter_limit=n, tol=tol, max_pivots=max_pivots
-        )
-        pivots_total += pivots
-        if status != OPTIMAL:
+    warm = basis is not None and lp.start_from(lp.internal[np.asarray(basis, dtype=int)])
+    if not warm:
+        lp.start_phase_one()
+        if lp.run_phase(lp.phase_one_cost) != OPTIMAL:
             raise SimplexError("phase 1 did not terminate at an optimum")
-        x_b = B_inv @ b
-        if float(c1[basis] @ x_b) > tol * (1.0 + abs(b).max(initial=0.0)):
-            return SimplexResult(INFEASIBLE, None, None, None, pivots_total)
-        A, b, basis, B_inv = _drive_out_artificials(A1, b, basis, B_inv, n, tol)
-
-    status, basis, B_inv, pivots = _iterate(
-        A, b, c, basis, B_inv, enter_limit=A.shape[1], tol=tol,
-        max_pivots=max_pivots
-    )
-    pivots_total += pivots
-    if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED, None, None, None, pivots_total)
-
-    x = np.zeros(A.shape[1])
-    x[basis] = B_inv @ b
-    np.maximum(x, 0.0, out=x)  # clip pivot round-off
-    return SimplexResult(OPTIMAL, x[:n], float(c @ x[:n]), basis, pivots_total)
+        artificial = lp.solve(lp.b)[:p][lp.cover >= lp.real]
+        if float(np.abs(artificial).sum()) > tol * (1.0 + np.abs(b).max(initial=0.0)):
+            return SimplexResult(INFEASIBLE, None, None, None, lp.pivots)
+        lp.pin_artificials = True
+    cost = np.zeros(lp.columns + 1)
+    cost[:lp.real] = c[lp.order]
+    if lp.run_phase(cost) == UNBOUNDED:
+        return SimplexResult(UNBOUNDED, None, None, None, lp.pivots)
+    x = lp.solution()
+    return SimplexResult(OPTIMAL, x, float(c @ x), lp.basic_columns(), lp.pivots)
 
 
-def _invert_basis(A, basis):
-    try:
-        return np.linalg.inv(A[:, basis])
-    except np.linalg.LinAlgError as exc:
-        raise SimplexError("singular basis matrix") from exc
+class _Simplex:
+    """The LP in internal column order, [dense | ±unit | artificial], and
+    its current basis.
 
-
-def _iterate(A, b, c, basis, B_inv, enter_limit, tol, max_pivots,
-             refactor_every=64, stall_limit=50):
-    """Pivot until optimal/unbounded.
-
-    Pricing is Dantzig (most negative reduced cost) for speed; after
-    `stall_limit` consecutive degenerate pivots it switches to Bland's rule
-    until the objective moves again, which precludes cycling. Optimality and
-    unboundedness are only declared against a freshly refactorized inverse,
-    so update drift cannot produce false exits. Only columns with index
-    < enter_limit may enter (phase 1 bars the artificial columns; the
-    infeasibility certificate stays valid under that restriction).
+    A basis is held as `cover` (for each row, the basic unit column on it,
+    or -1 when the row is uncovered; cost vectors end in a 0 for that -1),
+    `sign` (that column's entry, 0 when uncovered), the dense basic columns
+    `dcols` and the uncovered rows `drows`. `N` is the inverse of
+    M = D[drows][:, dcols] (rows of N follow dcols, its columns drows) and
+    `DT` holds D[:, dcols] transposed. The basic slots are the rows (the
+    covered ones hold a value) followed by the dense basic columns.
     """
-    p = A.shape[0]
-    rows = np.arange(p)
-    pivots = 0
-    stall = 0
-    bland = False
-    fresh = True  # B_inv exactly matches the current basis
-    in_basis = np.zeros(A.shape[1], dtype=bool)
-    in_basis[basis] = True
-    while True:
-        y = c[basis] @ B_inv
-        reduced = c[:enter_limit] - y @ A[:, :enter_limit]
-        reduced[in_basis[:enter_limit]] = 0.0
-        candidates = np.flatnonzero(reduced < -tol)
-        if candidates.size == 0:
-            if fresh:
-                return OPTIMAL, basis, B_inv, pivots
-            B_inv = _invert_basis(A, basis)
-            fresh = True
-            continue
-        if bland:
-            j = int(candidates[0])
+
+    def __init__(self, A, b, tol, max_pivots):
+        p, n = A.shape
+        nonzero = A != 0.0
+        row = nonzero.argmax(axis=0)
+        entry = A[row, np.arange(n)]
+        unit = (nonzero.sum(axis=0) == 1) & (np.abs(entry) == 1.0)
+        dense = np.flatnonzero(~unit)
+        units = np.flatnonzero(unit)
+        self.order = np.concatenate([dense, units])  # internal id -> column of A
+        self.internal = np.empty(n, dtype=int)
+        self.internal[self.order] = np.arange(n)
+        self.D = A[:, dense]
+        self.nd, self.nu, self.real = dense.size, units.size, n
+        # unit columns, then one artificial per row (sign(b_i) e_i)
+        self.urow = np.concatenate([row[units], np.arange(p)])
+        self.usign = np.concatenate([entry[units], np.where(b < 0.0, -1.0, 1.0)])
+        self.columns = n + p
+        self.phase_one_cost = np.zeros(self.columns + 1)
+        self.phase_one_cost[n:self.columns] = 1.0
+        self.p, self.b, self.tol, self.max_pivots = p, b, tol, max_pivots
+        self.pivots = 0
+        self.pin_artificials = False
+        self.updates = 0
+
+    # -- basis set-up ---------------------------------------------------
+
+    def start_from(self, cols):
+        """Take `cols` (internal ids) as the basis; False when it is
+        singular or infeasible."""
+        units = cols[cols >= self.nd]
+        rows = self.urow[units - self.nd]
+        if (cols.size != self.p or np.unique(cols).size != cols.size
+                or np.unique(rows).size != rows.size):
+            return False
+        self._set(units, rows, cols[cols < self.nd])
+        try:
+            self.refactor()
+        except SimplexError:
+            return False
+        return bool(self.solve(self.b).min(initial=0.0) >= -FEASIBILITY)
+
+    def start_phase_one(self):
+        """A unit column whose sign matches b_i on each row it can take,
+        the row's artificial elsewhere."""
+        rows, signs = self.urow[:self.nu], self.usign[:self.nu]
+        fits = np.flatnonzero(signs == self.usign[self.nu + rows])[::-1]
+        cover = self.real + np.arange(self.p)
+        cover[rows[fits]] = self.nd + fits  # the first fitting column of a row wins
+        self._set(cover, np.arange(self.p), np.empty(0, dtype=int))
+        self.refactor()
+
+    def _set(self, units, rows, dcols):
+        self.cover = np.full(self.p, -1)
+        self.cover[rows] = units
+        self.sign = np.zeros(self.p)
+        self.sign[rows] = self.usign[units - self.nd]
+        self.dcols = np.array(dcols, dtype=int)
+        self.drows = np.flatnonzero(self.sign == 0.0)
+        self.in_basis = np.zeros(self.columns + 1, dtype=bool)
+        self.in_basis[units] = True
+        self.in_basis[self.dcols] = True
+
+    def refactor(self):
+        if self.drows.size != self.dcols.size:
+            raise SimplexError("singular basis matrix")
+        self.DT = np.ascontiguousarray(self.D[:, self.dcols].T)
+        try:
+            self.N = np.linalg.inv(self.DT[:, self.drows].T)
+        except np.linalg.LinAlgError as exc:
+            raise SimplexError("singular basis matrix") from exc
+        self.updates = 0
+
+    # -- products with the basis ----------------------------------------
+
+    def solve(self, a):
+        """B⁻¹a over the basic slots: the covered rows, then dcols."""
+        dd = self.N @ a[self.drows]
+        du = self.sign * (a - dd @ self.DT)
+        return np.concatenate([du, dd])
+
+    def times(self, v):
+        """B v for v over the basic slots."""
+        return self.sign * v[:self.p] + v[self.p:] @ self.DT
+
+    def duals(self, cb):
+        """y with Bᵀy = cb, cb over the basic slots."""
+        y = self.sign * cb[:self.p]
+        y[self.drows] = (cb[self.p:] - self.DT @ y) @ self.N
+        return y
+
+    def column(self, j):
+        if j < self.nd:
+            return self.D[:, j]
+        a = np.zeros(self.p)
+        a[self.urow[j - self.nd]] = self.usign[j - self.nd]
+        return a
+
+    def row_times_columns(self, y):
+        """yᵀA over the columns of A (the artificials never enter)."""
+        units = slice(0, self.nu)
+        return np.concatenate([y @ self.D, self.usign[units] * y[self.urow[units]]])
+
+    def slot_columns(self):
+        return np.concatenate([self.cover, self.dcols])
+
+    # -- pivoting --------------------------------------------------------
+
+    def pivot(self, j, slot, a, d):
+        """Basis change: column j enters in place of `slot`; d = B⁻¹a."""
+        p, N = self.p, self.N
+        dd = d[p:]
+        if slot >= p:
+            t = slot - p
+            self.in_basis[self.dcols[t]] = False
+            if j < self.nd:  # a dense column replaces column t of M
+                row = N[t] / dd[t]
+                N -= np.outer(dd, row)
+                N[t] = row
+                self.dcols[t] = j
+                self.DT[t] = a
+            else:  # a unit column covers uncovered row i: M loses row i, column t
+                i = self.urow[j - self.nd]
+                q = int(np.flatnonzero(self.drows == i)[0])
+                N = N - np.outer(N[:, q], N[t]) / N[t, q]
+                self.N = np.delete(np.delete(N, t, axis=0), q, axis=1)
+                self.dcols = np.delete(self.dcols, t)
+                self.drows = np.delete(self.drows, q)
+                self.DT = np.delete(self.DT, t, axis=0)
+                self.cover[i], self.sign[i] = j, self.usign[j - self.nd]
         else:
-            j = int(candidates[np.argmin(reduced[candidates])])
+            i = slot
+            self.in_basis[self.cover[i]] = False
+            if j < self.nd:  # bordering: row i and column j join M
+                w = self.DT[:, i] @ N
+                sigma = a[i] - self.DT[:, i] @ dd
+                k = N.shape[0]
+                grown = np.empty((k + 1, k + 1))
+                grown[:k, :k] = N + np.outer(dd, w) / sigma
+                grown[:k, k] = -dd / sigma
+                grown[k, :k] = -w / sigma
+                grown[k, k] = 1.0 / sigma
+                self.N = grown
+                self.dcols = np.append(self.dcols, j)
+                self.drows = np.append(self.drows, i)
+                self.DT = np.vstack([self.DT, a])
+                self.cover[i], self.sign[i] = -1, 0.0
+            else:  # a unit column on uncovered row r: row r of M becomes row i
+                r = self.urow[j - self.nd]
+                if r != i:
+                    q = int(np.flatnonzero(self.drows == r)[0])
+                    delta = self.DT[:, i] - self.DT[:, r]
+                    N -= np.outer(N[:, q], delta @ N) / (1.0 + delta @ N[:, q])
+                    self.drows[q] = i
+                    self.cover[i], self.sign[i] = -1, 0.0
+                self.cover[r], self.sign[r] = j, self.usign[j - self.nd]
+        self.in_basis[j] = True
+        self.pivots += 1
+        self.updates += 1
+        if self.pivots > self.max_pivots:
+            raise SimplexError(f"pivot budget {self.max_pivots} exhausted")
+        if self.updates >= REFACTOR_EVERY:
+            self.refactor()
 
-        d = B_inv @ A[:, j]
-        pos = np.flatnonzero(d > tol)
-        if pos.size == 0:
-            if fresh:
-                return UNBOUNDED, basis, B_inv, pivots
-            B_inv = _invert_basis(A, basis)
-            fresh = True
-            continue
-        x_b = B_inv @ b
-        ratios = x_b[pos] / d[pos]
-        theta = max(ratios.min(), 0.0)
-        near = pos[ratios <= theta + tol * (1.0 + abs(theta))]
-        if bland:
-            r = int(near[np.argmin(basis[near])])
-        else:
-            r = int(near[np.argmax(d[near])])  # largest pivot for stability
-        if abs(d[r]) < 1e-11 and not fresh:
-            B_inv = _invert_basis(A, basis)
-            fresh = True
-            continue
+    # -- the phases ------------------------------------------------------
 
-        if theta <= tol:
-            stall += 1
-            if stall > stall_limit:
-                bland = True
-        else:
-            stall = 0
-            bland = False
+    def run_phase(self, cost):
+        """Minimize `cost` from the current feasible basis: a perturbed
+        primal pass, then the vertex under the true b."""
+        x = self.solve(self.b)
+        slot = np.arange(x.size) + 1.0
+        raise_by = PERTURBATION * (1.0 + np.abs(x)) * (0.5 + (slot * _GOLDEN) % 1.0)
+        raise_by[:self.p][self.sign == 0.0] = 0.0
+        if self.pin_artificials:
+            raise_by[:self.p][self.cover >= self.real] = 0.0
+        if self._primal(cost, self.b + self.times(raise_by)) == UNBOUNDED:
+            return UNBOUNDED
+        self.refactor()
+        self._dual(cost)
+        return self._primal(cost, self.b)
 
-        in_basis[basis[r]] = False
-        in_basis[j] = True
-        basis[r] = j
-        piv = d[r]
-        B_inv[r] /= piv
-        others = rows != r
-        B_inv[others] -= np.outer(d[others], B_inv[r])
-        fresh = False
+    def _primal(self, cost, rhs):
+        stall = 0
+        bland = False
+        tol = self.tol
+        while True:
+            x = self.solve(rhs)
+            y = self.duals(cost[self.slot_columns()])
+            reduced = cost[:self.real] - self.row_times_columns(y)
+            reduced[self.in_basis[:self.real]] = 0.0
+            candidates = np.flatnonzero(reduced < -tol)
+            if candidates.size == 0:
+                if self.updates:
+                    self.refactor()
+                    continue
+                return OPTIMAL
+            j = int(candidates[0] if bland else candidates[np.argmin(reduced[candidates])])
+            a = self.column(j)
+            d = self.solve(a)
+            ratio_d = d
+            if self.pin_artificials:  # a basic artificial sits at 0 and leaves first
+                ratio_d = d.copy()
+                pinned = np.flatnonzero(self.cover >= self.real)
+                ratio_d[pinned] = np.abs(d[pinned])
+            pos = np.flatnonzero(ratio_d > tol)
+            if pos.size == 0:
+                if self.updates:
+                    self.refactor()
+                    continue
+                return UNBOUNDED
+            ratios = x[pos] / ratio_d[pos]
+            theta = max(ratios.min(), 0.0)
+            near = pos[ratios <= theta + tol * (1.0 + abs(theta))]
+            if bland:
+                r = int(near[np.argmin(self.slot_columns()[near])])
+            else:
+                r = int(near[np.argmax(ratio_d[near])])  # largest pivot for stability
+            if abs(d[r]) < PIVOT_FLOOR and self.updates:
+                self.refactor()
+                continue
+            if theta <= tol:
+                stall += 1
+                bland = bland or stall > STALL_LIMIT
+            else:
+                stall = 0
+                bland = False
+            self.pivot(j, r, a, d)
 
-        pivots += 1
-        if pivots % refactor_every == 0:
-            B_inv = _invert_basis(A, basis)
-            fresh = True
-        if pivots > max_pivots:
-            raise SimplexError(f"pivot budget {max_pivots} exhausted")
+    def _dual(self, cost):
+        """Dual simplex pivots under the true b until the basic values are
+        nonnegative; each keeps the reduced costs nonnegative."""
+        while True:
+            x = self.solve(self.b)
+            r = int(np.argmin(x))
+            if x[r] >= -self.tol:
+                return
+            y = self.duals(cost[self.slot_columns()])
+            reduced = np.maximum(cost[:self.real] - self.row_times_columns(y), 0.0)
+            e_r = np.zeros(x.size)
+            e_r[r] = 1.0
+            alpha = self.row_times_columns(self.duals(e_r))  # row r of B⁻¹A
+            alpha[self.in_basis[:self.real]] = 0.0
+            candidates = np.flatnonzero(alpha < -self.tol)
+            if candidates.size == 0:
+                return  # round-off only: the phase starts from a feasible basis
+            ratios = reduced[candidates] / -alpha[candidates]
+            near = candidates[ratios <= ratios.min() + self.tol]
+            j = int(near[np.argmin(alpha[near])])
+            a = self.column(j)
+            self.pivot(j, r, a, self.solve(a))
 
+    # -- read-out --------------------------------------------------------
 
-def _drive_out_artificials(A1, b, basis, B_inv, n, tol):
-    """Pivot artificial variables out of a zero-cost phase-1 basis.
+    def solution(self):
+        x = np.zeros(self.columns + 1)
+        x[self.slot_columns()] = self.solve(self.b)
+        x = np.maximum(x[:self.real], 0.0)  # clip pivot round-off
+        out = np.empty(self.real)
+        out[self.order] = x
+        return out
 
-    Rows whose artificial cannot be replaced by an original column are
-    linearly dependent and get dropped.
-    """
-    drop_rows = []
-    for r in range(A1.shape[0]):
-        if basis[r] < n:
-            continue
-        basic = set(basis.tolist())
-        row = B_inv[r] @ A1[:, :n]
-        pivot_col = None
-        for j in np.flatnonzero(np.abs(row) > tol):
-            if int(j) not in basic:
-                pivot_col = int(j)
-                break
-        if pivot_col is not None:
-            j = pivot_col
-            d = B_inv @ A1[:, j]
-            piv = d[r]
-            B_inv[r] /= piv
-            others = np.arange(A1.shape[0]) != r
-            B_inv[others] -= np.outer(d[others], B_inv[r])
-            basis[r] = j
-        else:
-            drop_rows.append(r)
-    A = A1[:, :n]
-    if drop_rows:
-        keep = np.setdiff1d(np.arange(A.shape[0]), drop_rows)
-        A = A[keep]
-        b = b[keep]
-        basis = basis[keep]
-        B_inv = _invert_basis(A, basis)
-    else:
-        B_inv = _invert_basis(A, basis)
-    return A, b, basis, B_inv
+    def basic_columns(self):
+        cols = self.slot_columns()
+        return self.order[cols[(cols >= 0) & (cols < self.real)]]

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from mrckit import features, estimate, objective, parallel
+from mrckit import classifier, features, estimate, objective, parallel
 from mrckit.dataset import Dataset
+from mrckit.solver import SolverConfig
 
 
 def make_blobs(n, d=2, num_classes=2, spread=1.0, sep=3.0, seed=0):
@@ -45,6 +46,38 @@ def random_learning_problem(seed, n=40, d=3, num_classes=2, lambda0=0.3,
     unc = estimate.UncertaintySet(tau, lam)
     problem = objective.build_learning_problem(unc, X, spec)
     return problem, unc, X, ds.labels, spec
+
+
+def exact_lp_training_set(seed, dataset, n=100):
+    """Training set `dataset` of the benchmark's `exact-lp` workload seed
+    (d=4, K=2, D=30; n=100 there).
+
+    The same draw as the benchmark's input generator: each class is a
+    mixture of two Gaussian modes at fixed places (separation 1.3), and the
+    seed changes only the sample. Labels are named c0, c1 as in the
+    benchmark's CSV files.
+    """
+    d, K, D = 4, 2, 30
+    centers = 1.3 * np.random.default_rng([20220118, d, K]).normal(size=(K, 2, d))
+    rng = np.random.default_rng([int(seed), n, K, D, 1 + dataset])
+    y = rng.integers(0, K, size=n)
+    y[:K] = np.arange(K)
+    mode = rng.integers(0, 2, size=n)
+    X = centers[y, mode] + rng.normal(size=(n, d))
+    return Dataset(X, y + 1, tuple(f"c{c}" for c in range(K)))
+
+
+def exact_lp_rule_problems(seed, dataset):
+    """The deterministic-rule (upper, lower) bound problems of the model that
+    `mrckit train --solver lp` fits on an `exact-lp` training set, built as
+    `mrckit bounds --deterministic` builds them."""
+    spec = features.rff_spec(2, 4, D=30, seed=0)
+    model = classifier.train(exact_lp_training_set(seed, dataset), spec,
+                             solver_config=SolverConfig(method="lp"))
+    psi = features.scalar_feature_matrix(model.feature_spec, model.instance_anchor)
+    labels = np.argmax(psi @ model.mu_star.reshape(2, -1).T, axis=1)
+    high = objective.build_upper_bound_problem(model.uncertainty, psi, np.eye(2)[labels])
+    return high, objective.lower_from_upper(high)
 
 
 def enumerate_phi(mu, instances, spec):

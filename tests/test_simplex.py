@@ -3,6 +3,9 @@ import pytest
 
 from mrckit.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED,
                             solve_standard_form)
+from mrckit.solver import solve_lp
+
+from conftest import exact_lp_rule_problems
 
 
 def test_basic_lp():
@@ -96,3 +99,45 @@ def test_random_lps_against_vertex_enumeration(rng):
         else:
             assert res.status == UNBOUNDED
             # verify a descent ray exists: LP dual infeasible; accept status
+
+
+def test_singular_warm_basis_falls_back_to_phase_one():
+    # columns 0 and 1 are parallel, so the supplied basis is singular
+    A = np.array([[1.0, 2.0, 1.0, 0.0],
+                  [1.0, 2.0, 0.0, 1.0]])
+    b = np.array([3.0, 4.0])
+    c = np.array([1.0, 1.0, 1.0, 1.0])
+    res = solve_standard_form(c, A, b, basis=[0, 1])
+    assert res.status == OPTIMAL
+    assert abs(res.value - 2.5) < 1e-9  # x1 = 1.5, x3 = 1
+    assert np.allclose(A @ res.x, b, atol=1e-9)
+
+
+def test_basis_is_returned_in_column_indices():
+    A = np.array([[1.0, 1.0, 1.0, 0.0],
+                  [0.0, 1.0, 0.0, 1.0]])
+    b = np.array([4.0, 2.0])
+    c = np.array([-1.0, -2.0, 0.0, 0.0])
+    res = solve_standard_form(c, A, b)
+    assert sorted(res.basis.tolist()) == [0, 1]
+    again = solve_standard_form(c, A, b, basis=res.basis)
+    assert again.pivots == 0 and abs(again.value + 6.0) < 1e-9
+
+
+# The deterministic-rule bound LPs of the benchmark's `exact-lp` training sets
+# on which the dense simplex with a p x p inverse exhausted its pivot budget or
+# met a singular basis (seed 2, sets 4, 6, 7), and the one that took it 10,349
+# pivots (seed 1, set 3). Each LP has p = 200 rows and 442 columns; with the
+# right-hand side perturbed they take 134 to 500 pivots.
+DEGENERATE_SETS = [(1, 3), (2, 4), (2, 6), (2, 7)]
+RULE_LP_PIVOT_BOUND = 1000
+
+
+@pytest.mark.parametrize("seed,dataset", DEGENERATE_SETS)
+def test_degenerate_rule_lps_solve_within_pivot_bound(seed, dataset):
+    for problem in exact_lp_rule_problems(seed, dataset):
+        run = solve_lp(problem)
+        assert run.status == "optimal"
+        assert run.iterations_done <= RULE_LP_PIVOT_BOUND
+        # the LP optimum is the objective at the returned mu
+        assert abs(run.best_value - problem.objective(run.best_mu)) < 1e-9
