@@ -44,7 +44,8 @@ UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 PERTURBATION = 1e-7   # relative raise of each basic value when a phase starts
-FEASIBILITY = 1e-7    # a warm basis with a value below -FEASIBILITY is not used
+FEASIBILITY = 1e-7    # a warm basis with a value below -FEASIBILITY, or whose
+                      # inverse misses the identity by more, is not used
 PIVOT_FLOOR = 1e-11   # a smaller pivot from an updated inverse forces a refactor
 REFACTOR_EVERY = 64   # pivots between fresh inversions of the dense block
 STALL_LIMIT = 50      # degenerate pivots in a row before Bland's rule
@@ -151,6 +152,10 @@ class _Simplex:
             self.refactor()
         except SimplexError:
             return False
+        # inverting a numerically singular block need not raise
+        M = self.DT[:, self.drows].T
+        if np.abs(M @ self.N - np.eye(M.shape[0])).max(initial=0.0) > FEASIBILITY:
+            return False
         return bool(self.solve(self.b).min(initial=0.0) >= -FEASIBILITY)
 
     def start_phase_one(self):
@@ -211,8 +216,8 @@ class _Simplex:
 
     def row_times_columns(self, y):
         """yᵀA over the columns of A (the artificials never enter)."""
-        units = slice(0, self.nu)
-        return np.concatenate([y @ self.D, self.usign[units] * y[self.urow[units]]])
+        nu = self.nu
+        return np.concatenate([y @ self.D, self.usign[:nu] * y[self.urow[:nu]]])
 
     def slot_columns(self):
         return np.concatenate([self.cover, self.dcols])

@@ -111,6 +111,19 @@ def test_singular_warm_basis_falls_back_to_phase_one():
     assert res.status == OPTIMAL
     assert abs(res.value - 2.5) < 1e-9  # x1 = 1.5, x3 = 1
     assert np.allclose(A @ res.x, b, atol=1e-9)
+    # column 2 is 0.1 col0 + 0.9 col1 in floating point: inverting this
+    # basis does not raise, but the inverse is wrong. With b = 0 every basis
+    # looks feasible, so only the inverse check drops it, and the solve then
+    # takes the cold start's path.
+    v, w = np.array([0.1, 0.7, 0.3]), np.array([0.2, 0.5, 0.9])
+    A = np.column_stack([v, w, 0.1 * v + 0.9 * w, np.eye(3)])
+    b = np.zeros(3)
+    c = np.array([-1.0, 1.0, 1.0, 5.0, 5.0, 5.0])
+    cold = solve_standard_form(c, A, b)
+    warm = solve_standard_form(c, A, b, basis=[0, 1, 2])
+    assert warm.status == cold.status == OPTIMAL
+    assert warm.pivots == cold.pivots
+    assert np.array_equal(warm.x, cold.x)
 
 
 def test_basis_is_returned_in_column_indices():
