@@ -1,5 +1,15 @@
 """Minimax risk classification with 0-1 loss and certified error bounds."""
 
+import os
+
+# One BLAS thread per process, set before anything here imports numpy: a
+# product's rounding then does not depend on the CPU count, and mrckit
+# spreads its own work over the CPUs (see parallel.py). A variable already
+# set in the environment wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 __version__ = "0.1.0"
 
 from .dataset import (Dataset, DataError, NormalizationStats, apply_normalizer,

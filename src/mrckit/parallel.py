@@ -13,8 +13,11 @@ could not start.
 
 The map runs inline with one task, one usable CPU, no `os.fork`, or inside
 a task of another map, so at most MAX_WORKERS processes run tasks at once.
-mrckit starts no threads of its own; a BLAS thread pool re-creates its
-threads in the forked child.
+
+Within a process, `split_rows` runs the blocks of a row range on threads.
+It joins every thread it starts before it returns or raises, so no mrckit
+thread is alive when the map forks. BLAS runs one thread per process (see
+the package's __init__).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import os
 import pickle
 import sys
+import threading
 
 
 class WorkerError(RuntimeError):
@@ -29,9 +33,9 @@ class WorkerError(RuntimeError):
 
 
 # Each worker holds its own problem (and, under E-ASM, its own n x n Gram,
-# which solver.EASM_BUDGET_BYTES checks one solve at a time) and its
-# own BLAS thread pool, so memory and threads grow with the worker count.
-# Two workers is the count whose time and summed peak RSS were measured.
+# which solver.EASM_BUDGET_BYTES checks one solve at a time), so memory
+# grows with the worker count. Two workers is the count whose time and
+# summed peak RSS were measured; split_rows starts at most as many threads.
 MAX_WORKERS = 2
 
 _busy = False  # set while this process runs tasks of a map
@@ -146,3 +150,44 @@ def _unpack(payload, status):
         except Exception as exc:  # a result or exception that does not unpickle
             how = f"sent results that could not be read ({exc})"
     raise WorkerError(f"a worker process {how} before returning its results")
+
+
+class _Block(threading.Thread):
+    """fn(start, stop) on a thread of its own; what it raises is kept in
+    `error`, for split_rows to raise in the calling thread."""
+
+    def __init__(self, fn, start, stop):
+        super().__init__(daemon=True)
+        self.fn, self.rows = fn, (start, stop)
+        self.error = None
+
+    def run(self):
+        try:
+            self.fn(*self.rows)
+        except BaseException as exc:  # re-raised by split_rows
+            self.error = exc
+
+
+def split_rows(fn, rows):
+    """fn(start, stop) over contiguous blocks that cover range(rows), one per
+    usable CPU up to MAX_WORKERS, the caller running the first and a thread
+    each of the others (or the caller, if no thread can be made). One block
+    inside a task of ordered_map. Every thread is joined before this returns
+    or raises; a failed block's exception is raised, the first in row order."""
+    workers = 1 if _busy else max(1, min(rows, usable_cpus(), MAX_WORKERS))
+    cuts = [rows * i // workers for i in range(workers + 1)]
+    blocks = [_Block(fn, cuts[i], cuts[i + 1]) for i in range(1, workers)]
+    try:
+        for block in blocks:
+            try:
+                block.start()
+            except RuntimeError:  # out of threads or memory
+                block.run()
+        fn(cuts[0], cuts[1])
+    finally:
+        for block in blocks:
+            if block.ident is not None:  # started
+                block.join()
+    for block in blocks:
+        if block.error is not None:
+            raise block.error

@@ -71,7 +71,7 @@ class SolverRun:
     best_value: float                  # constant included, minimization sense
     iterations_done: int
     method: str
-    status: str = "max_iters"          # or "stationary", "optimal"
+    status: str = "max_iters"          # or "stalled", "stationary", "optimal"
     certificate: str = "subgradient"   # "lp" when the exact path produced it
     trace: list | None = None          # rows (iteration, seconds, best_value, gamma)
     iterates: np.ndarray | None = None
@@ -236,7 +236,8 @@ def _accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
     argmax rows come from problem.evaluate, or from the recursion when one
     is given. The incumbent (value, mu) of earlier segments stays the best
     unless beaten. Returns the best value (constant included), its mu, the
-    iterations run and the status.
+    iterations run, the status and whether a step beat the best raw value
+    the segment started with (the incumbent's or mu's, whichever is lower).
     """
     constant = problem.constant
     floor = DIVERGENCE_FLOOR
@@ -258,6 +259,7 @@ def _accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
     sign = np.sign(mu)
     linear = a + lam * sign  # the subgradient's a + lam * sign(mu) part
     status = "max_iters"
+    improved = False
     for k in range(1, iters + 1):
         g = problem.add_argmax_row(linear.copy(), token)
         if basic:
@@ -287,15 +289,20 @@ def _accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
         if raw < best_raw:
             best_raw = raw
             best_mu = mu.copy()
+            improved = True
         rec.step(k, constant + best_raw, nflips)
         rec.snapshot_mu(mu)
-    return constant + best_raw, best_mu, k, status
+    return constant + best_raw, best_mu, k, status, improved
 
 
 def _solve_accelerated(problem, config, method):
     """Run subgradient method `method` from mu = 0: the loop in segments of
     restart_period iterations for easm_restart (one segment otherwise), each
     restarted from the incumbent with the schedule reset.
+
+    A segment whose steps never beat its incumbent ends the run as
+    "stalled": the next would start from the same point with the same
+    incumbent and replay it bit for bit.
 
     The E-ASM methods carry values by recursion; they end by evaluating the
     objective exactly at the returned point and report that value.
@@ -323,12 +330,14 @@ def _solve_accelerated(problem, config, method):
     while done < config.max_iters and status == "max_iters":
         rec.segment(done, loop_seconds)
         incumbent = None if best_mu is None else (best_value, best_mu)
-        value, seg_mu, ran, status = _accelerated(
+        value, seg_mu, ran, status, improved = _accelerated(
             problem, mu, min(period, config.max_iters - done), rec, incumbent,
             recursion, basic=method == "bsm")
         if value < best_value:
             best_value, best_mu = value, seg_mu
         done += ran
+        if status == "max_iters" and not improved and done < config.max_iters:
+            status = "stalled"
         flips += rec.changed
         loop_seconds += rec.loop_seconds()
         mu = best_mu
@@ -365,6 +374,7 @@ def solve_easm_restart(problem, config):
 
     Each segment resets the extrapolation schedule (k back to 1) and starts
     at the best point found so far; the incumbent is kept across segments.
+    The run ends "stalled" after a segment that found no better point.
     """
     return _solve_accelerated(problem, config, "easm_restart")
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -243,6 +244,23 @@ def test_predict_bad_cell_past_first_chunk(blob_csv, tmp_path, capsys, header,
     assert f"row {5001 if header else 5000}, column 2" in err and message in err
     assert "Traceback" not in err
     assert os.listdir(pred) == []  # no predictions.csv and no partial file
+
+
+def test_predict_leaves_no_thread_behind(blob_csv, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    # at D = 64 a chunk's cos/sin runs on split_rows' threads
+    assert run_cli("train", "--data", blob_csv, "--out", out, "--D", "64",
+                   "--solver", "asm", "--max-iters", "200", "--seed", "1") == 0
+    bad = tmp_path / "bad.csv"
+    write_stream_input(bad, 6000, 5000, "nan", header=False)
+    threads = threading.active_count()
+    for data, expected in ((blob_csv, 0), (str(bad), 1)):
+        code = run_cli("predict", "--model", os.path.join(out, "model.json"),
+                       "--data", data, "--out", str(tmp_path / f"pred{expected}"),
+                       "--proba")
+        assert code == expected
+        assert threading.active_count() == threads
+    assert "row 5000, column 2" in capsys.readouterr().err
 
 
 def test_predict_dev_mode_closes_files(blob_csv, tmp_path):

@@ -1,9 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from mrckit import features
+from mrckit import features, parallel
 
 
 def test_rff_at_zero_alternates_cos_sin():
@@ -89,6 +90,41 @@ def test_constant_feature_flag():
     assert features.block_dim(spec) == 7
     psi = features.scalar_features(spec, np.zeros(2))
     assert psi[0] == 1.0
+
+
+SPLIT_D = 64  # SPLIT_MIN_ELEMENTS / SPLIT_D rows is the last serial count
+
+
+@pytest.mark.parametrize("rows,split", [
+    (1, False),
+    (features.SPLIT_MIN_ELEMENTS // SPLIT_D, False),
+    (features.SPLIT_MIN_ELEMENTS // SPLIT_D + 1, True),
+    (2 * features.SPLIT_MIN_ELEMENTS // SPLIT_D + 1, True),  # odd: blocks differ
+])
+@pytest.mark.parametrize("constant", [False, True])
+def test_threaded_rff_matches_serial(monkeypatch, rows, split, constant):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    blocks = []
+    split_rows = parallel.split_rows
+
+    def spy(fn, n):
+        blocks.append(n)
+        return split_rows(fn, n)
+
+    monkeypatch.setattr(parallel, "split_rows", spy)
+    spec = features.rff_spec(2, 3, D=SPLIT_D, seed=1, include_constant=constant)
+    X = np.random.default_rng(rows).normal(size=(rows, 3))
+    threads = threading.active_count()
+    psi = features.scalar_feature_matrix(spec, X)
+    assert threading.active_count() == threads
+    assert blocks == ([rows] if split else [])
+    Z = X @ features.frequencies(spec).T
+    serial = np.empty((rows, 2 * SPLIT_D))
+    serial[:, 0::2] = np.cos(Z)
+    serial[:, 1::2] = np.sin(Z)
+    if constant:
+        serial = np.hstack([np.ones((rows, 1)), serial])
+    assert psi.tobytes() == serial.tobytes()
 
 
 def test_kernel_consistency_monte_carlo(rng):

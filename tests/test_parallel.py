@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -223,6 +224,92 @@ def test_killed_worker_exits_2_without_traceback(cpus, blob_csv, tmp_path,
     assert code == 2
     assert "worker process was killed by signal 9" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n,rows", [(1, 5), (2, 1), (2, 7), (3, 8)])
+def test_split_rows_covers_the_range_in_blocks(cpus, n, rows):
+    cpus(n)
+    blocks, threads = [], threading.active_count()
+    parallel.split_rows(lambda start, stop: blocks.append((start, stop)), rows)
+    assert sorted(blocks) == [(i * rows // len(blocks), (i + 1) * rows // len(blocks))
+                              for i in range(len(blocks))]
+    assert len(blocks) == min(n, rows, parallel.MAX_WORKERS)
+    assert threading.active_count() == threads
+
+
+def test_split_rows_joins_before_it_raises(cpus):
+    cpus(2)
+    finished = []
+
+    def block(start, stop):
+        if start == 0:
+            raise ValueError("first block failed")
+        time.sleep(0.2)
+        finished.append(start)
+
+    with pytest.raises(ValueError, match="first block failed"):
+        parallel.split_rows(block, 4)
+    assert finished == [2]  # the thread's block ran to its end first
+
+    def second_fails(start, stop):
+        if start > 0:
+            raise ValueError(f"block {start} failed")
+
+    with pytest.raises(ValueError, match="block 2 failed"):
+        parallel.split_rows(second_fails, 4)
+
+
+def test_split_rows_runs_inline_in_a_map_task_or_without_threads(cpus, monkeypatch):
+    cpus(2)
+    assert len(_block_threads()) == 2
+    monkeypatch.setattr(parallel, "_busy", True)
+    assert _block_threads() == {threading.get_ident()}
+    monkeypatch.setattr(parallel, "_busy", False)
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    assert _block_threads() == {threading.get_ident()}
+
+
+def _block_threads():
+    """The threads that ran the blocks of split_rows over 4 rows."""
+    seen, rows = set(), []
+
+    def block(start, stop):
+        seen.add(threading.get_ident())
+        rows.extend(range(start, stop))
+        time.sleep(0.05)  # so that one thread cannot run both blocks
+
+    parallel.split_rows(block, 4)
+    assert sorted(rows) == [0, 1, 2, 3]
+    return seen
+
+
+def _no_thread(self):
+    raise RuntimeError("can't start new thread")
+
+
+def test_train_and_predict_bytes_same_on_one_and_all_cpus(tmp_path):
+    if parallel.usable_cpus() < 2:
+        pytest.skip("needs two usable CPUs")
+    # X @ W^T rounds differently under one and several BLAS threads at this
+    # size, so the bytes agree only if BLAS runs one thread at any CPU count
+    save_csv(make_blobs(300, d=4, seed=1), tmp_path / "train.csv")
+    save_csv(make_blobs(3000, d=4, seed=2), tmp_path / "test.csv")
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.abspath(SRC)
+    one_cpu = min(os.sched_getaffinity(0))
+    written = []
+    for tag, pin in (("one", lambda: os.sched_setaffinity(0, {one_cpu})), ("all", None)):
+        out = tmp_path / tag
+        for command in (["train", "--data", str(tmp_path / "train.csv"), "--D", "500",
+                         "--max-iters", "300", "--seed", "1", "--out", str(out)],
+                        ["predict", "--model", str(out / "model.json"), "--proba",
+                         "--data", str(tmp_path / "test.csv"), "--out", str(out)]):
+            subprocess.run([sys.executable, "-m", "mrckit.cli", *command], env=env,
+                           preexec_fn=pin, capture_output=True, timeout=120, check=True)
+        written.append([(out / name).read_bytes()
+                        for name in ("model.json", "predictions.csv")])
+    assert written[0] == written[1]
 
 
 def test_cli_import_and_version_load_no_process_pool():

@@ -202,7 +202,32 @@ def test_restart_carries_best_across_boundary():
                               record_trace=True))
     best = [row[2] for row in run.trace]
     assert all(a >= b - 1e-15 for a, b in zip(best, best[1:]))
-    assert run.iterations_done == 600
+    # the second segment finds no better point, so a third would replay it
+    assert (run.status, run.iterations_done) == ("stalled", 300)
+    assert run.trace[-1][0] == 300
+
+
+@pytest.mark.parametrize("seed", [5, 6, 9])
+def test_stalled_restart_returns_the_full_budget_point(seed):
+    problem, *_ = random_learning_problem(seed=seed, n=15)
+    cfg = SolverConfig(max_iters=1500, restart_period=150)
+    run = solve_easm_restart(problem, cfg)
+    assert run.status == "stalled" and run.iterations_done < cfg.max_iters
+    # reference: every segment of the budget, restarted from the incumbent
+    recursion = solver._Recursion(problem)
+    rec = solver._RunRecorder(cfg, problem.dimension)
+    best_value, best_mu = np.inf, None
+    mu = np.zeros(problem.dimension)
+    for done in range(0, cfg.max_iters, cfg.restart_period):
+        rec.segment(done, 0.0)
+        incumbent = None if best_mu is None else (best_value, best_mu)
+        value, seg_mu, *_ = solver._accelerated(
+            problem, mu, cfg.restart_period, rec, incumbent, recursion, False)
+        if value < best_value:
+            best_value, best_mu = value, seg_mu
+        mu = best_mu
+    assert np.array_equal(run.best_mu, best_mu)
+    assert run.best_value == problem.objective(best_mu)
 
 
 def test_restart_extends_reach_with_full_reset():
