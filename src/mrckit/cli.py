@@ -232,6 +232,7 @@ def cmd_train(args):
         "m": model.mu_star.size,
         "p": model.learning_rows,
         "solver": model.solver_info,
+        "timings": model.solve_timings,
         "trace_path": str(trace_path),
     })
     _write_report(out_dir, "report.json", report)
@@ -304,6 +305,7 @@ def cmd_bounds(args):
             "lower": det.lower, "upper": det.upper,
             "lower_raw": det.lower_raw, "upper_raw": det.upper_raw,
             "certificates": [det.lower_certificate, det.upper_certificate],
+            "timings": det.timings,
         }
 
     lam_delta = None

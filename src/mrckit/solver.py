@@ -5,20 +5,21 @@ Methods:
   asm           accelerated subgradient method with the extrapolation
                 schedule c_{k+1} = (k+1)^{-3/2}, theta_{k+1} = 2/(k+1),
                 eta_{k+1} = theta_{k+1} (1/theta_k - 1)
-  easm          the same iterates, maintaining the n x K scores of the
-                iterates through rank-one updates on the precomputed
-                n x n instance Gram psi psi^T
+  easm          the same iterates, carrying the n x K scores of mu in one
+                state vector [mu | scores] that each step moves in place;
+                the subgradient's scores come from a row of the
+                precomputed n x n instance Gram psi psi^T
   easm_restart  easm in segments, each restarted from the incumbent
   lp            exact reformulation solved by the in-house simplex
 
 All four subgradient methods run one loop, started at mu = 0. They differ
 only in the step rule (bsm's normalized step, or the accelerated schedule)
 and in where the value and argmax row at each iterate come from
-(problem.evaluate, or the recursion, which trades the per-iteration
-feature-matrix product for sparse column updates driven by sign changes of
-mu), so the asm and easm iterates are identical by construction. The
-recursion's values carry rounding drift, so the E-ASM methods re-evaluate
-the objective exactly at the returned point and report that value; the
+(the scores psi mu_c^T, or the recursion, which trades that per-iteration
+product for sparse column updates driven by sign changes of mu), so the
+asm and easm iterates are identical by construction. The recursion's
+values carry rounding drift, so the E-ASM methods re-evaluate the
+objective exactly at the returned point and report that value; the
 difference is kept as SolverRun.value_drift.
 Argmax ties break to the lowest row index everywhere and sign(0) = 0,
 which makes all methods bit-deterministic.
@@ -178,13 +179,13 @@ def _require_max(problem, what):
 
 
 class _Recursion:
-    """E-ASM state in score space (n x K arrays, offsets excluded): the
-    scores v of mu and w of y, and the scores `base` of a + lam * sign(mu).
+    """E-ASM precompute: the n x n instance Gram G = psi psi^T, psi^T, and
+    lam_j times the class indicator of each component j.
 
-    One accelerated step moves v and w by the scores of the subgradient,
-    base + outer(G[:, i], w_r / s_r) for the argmax row (i, r), with
-    G = psi psi^T the n x n instance Gram; a sign change of mu updates base
-    by the matching psi columns.
+    The loop then moves the scores of its iterates in score space: the
+    scores of the subgradient at argmax row (i, r) are those of
+    a + lam * sign(mu) plus G[:, i] * w_r / s_r, and a sign change of mu
+    updates the former by the matching psi columns.
     """
 
     def __init__(self, problem):
@@ -194,38 +195,11 @@ class _Recursion:
             raise SolverError(
                 f"precomputing the {n}x{n} instance Gram matrix needs {8 * n * n} "
                 f"bytes, over the budget of {EASM_BUDGET_BYTES}; use asm instead")
-        self.problem = problem
-        self.row_weights = {}  # row r -> its class weights / size, (K,)
         self.G = problem.psi @ problem.psi.T
         self.psi_t = np.ascontiguousarray(problem.psi.T)
         # lam_j times the class indicator of each component j; (m, K)
         self.lam_eye = np.repeat(np.eye(problem.num_classes), problem.psi.shape[1],
                                  axis=0) * problem.lam[:, None]
-
-    def start(self, mu):
-        p = self.problem
-        self.v = p.scores(mu)
-        self.w = self.v.copy()
-        self.s = np.sign(mu)
-        self.base = p.scores(p.a + p.lam * self.s)
-
-    def step(self, mu, token, ck, ek, sign, flips):
-        """Value and token at mu, reached by the step (ck, ek) from the
-        iterate whose argmax row was `token`; sign is sign(mu) and flips
-        indexes its entries that changed (None when none did)."""
-        p = self.problem
-        i, r = divmod(token, p.rows_per_instance)
-        weights = self.row_weights.get(r)
-        if weights is None:
-            weights = self.row_weights[r] = p._row_weights(r)
-        w_next = self.v - ck * (self.base + self.G[i][:, None] * weights)
-        self.v = (1.0 + ek) * w_next - ek * self.w
-        self.w = w_next
-        if flips is not None:
-            coef = self.lam_eye[flips] * (sign[flips] - self.s[flips])[:, None]
-            self.base += self.psi_t[flips % self.psi_t.shape[0]].T @ coef
-        self.s = sign
-        return p._value_at(mu, self.v)
 
 
 def _accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
@@ -233,20 +207,22 @@ def _accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
 
     A step is bsm's mu - g / (sqrt(k+1) ||g||) when `basic`, which stops
     as "stationary" at g = 0, else the accelerated schedule's. Values and
-    argmax rows come from problem.evaluate, or from the recursion when one
-    is given. The incumbent (value, mu) of earlier segments stays the best
-    unless beaten. Returns the best value (constant included), its mu, the
-    iterations run, the status and whether a step beat the best raw value
-    the segment started with (the incumbent's or mu's, whichever is lower).
+    argmax rows come from the scores psi mu_c^T, or from the recursion when
+    one is given: then the state vector Z = [mu | v] also holds the n x K
+    scores v of mu, y and the subgradient g carry their scores the same
+    way, and one in-place step moves both. The incumbent (value, mu) of
+    earlier segments stays the best unless beaten. Returns the best value
+    (constant included), its mu, the iterations run, the status and whether
+    a step beat the best raw value the segment started with (the
+    incumbent's or mu's, whichever is lower).
     """
     constant = problem.constant
     floor = DIVERGENCE_FLOOR
     inf = math.inf
     c, eta = _schedule_arrays(iters + 1)
+    c, eta = c.tolist(), eta.tolist()
     raw, token = problem.evaluate(mu)
     _check_value(raw, constant)
-    if recursion is not None:
-        recursion.start(mu)
     best_raw = raw
     best_mu = mu.copy()
     if incumbent is not None and incumbent[0] - constant < best_raw:
@@ -254,36 +230,82 @@ def _accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
         best_mu = incumbent[1].copy()
     rec.start(constant + best_raw)
     rec.snapshot_mu(mu)
-    y = mu
-    a, lam = problem.a, problem.lam
-    sign = np.sign(mu)
-    linear = a + lam * sign  # the subgradient's a + lam * sign(mu) part
+    a, lam, psi = problem.a, problem.lam, problem.psi
+    (n, B), K, R = psi.shape, problem.num_classes, problem.rows_per_instance
+    m = a.size
+    tail = 0 if recursion is None else n * K
+    Z = np.empty(m + tail)  # [mu | scores of mu]; Y and Yn hold y the same way
+    Z[:m] = mu
+    gb = np.empty(m + tail)  # [g | scores of g]
+    mu, gm, gc = Z[:m], gb[:m], gb[:m].reshape(K, B)  # gc: g's class blocks
+    if recursion is not None:
+        G, psi_t, lam_eye = recursion.G, recursion.psi_t, recursion.lam_eye
+        v, gs = Z[m:].reshape(n, K), gb[m:].reshape(n, K)
+        v[:] = problem.scores(mu)
+        base = problem.scores(a + lam * np.sign(mu))  # scores of a + lam * sign
+    Y, Yn = Z.copy(), np.empty_like(Z)
+    sign, sign_next = np.sign(mu), np.empty(m)
+    absmu, changed = np.empty(m), np.empty(m, dtype=bool)
+    # the value at a row max over materialized weights reuses one buffer;
+    # top-k and averaged problems take problem._value_at
+    buffered = problem.weights is not None and not problem.average
+    if buffered:
+        offsets, rows = problem.offsets, problem._row_matrix
+        Vb = np.empty(offsets.shape)
     status = "max_iters"
     improved = False
     for k in range(1, iters + 1):
-        g = problem.add_argmax_row(linear.copy(), token)
+        np.multiply(lam, sign, out=gm)
+        np.add(gm, a, out=gm)  # the subgradient's a + lam * sign(mu) part
+        if problem.average:
+            problem.add_argmax_row(gm, token)
+        else:
+            i, r = divmod(token, R)
+            members = problem._members_of(r)
+            size = len(members)
+            row = psi[i] if size == 1 else psi[i] / size
+            for cls in members:
+                gc[cls] += row
+            if recursion is not None:
+                np.copyto(gs, base)
+                Gi = G[i] if size == 1 else G[i] * (1.0 / size)
+                for cls in members:
+                    gs[:, cls] += Gi
         if basic:
-            gnorm = math.sqrt(float(g @ g))
+            gnorm = math.sqrt(float(gm @ gm))
             if gnorm == 0.0:  # zero subgradient: mu is a minimizer
                 status = "stationary"
                 rec.step(k, constant + best_raw, 0)
                 break
-            mu = mu - g / (math.sqrt(k + 1.0) * gnorm)
+            np.divide(gm, math.sqrt(k + 1.0) * gnorm, out=gm)
+            np.subtract(Z, gb, out=Z)
         else:
             ck, ek = c[k - 1], eta[k - 1]
-            y_next = mu - ck * g
-            mu = (1.0 + ek) * y_next - ek * y
-            y = y_next
-        prev_sign, sign = sign, np.sign(mu)
-        flips = (sign != prev_sign).nonzero()[0]
+            np.multiply(gb, ck, out=gb)
+            np.subtract(Z, gb, out=Yn)   # y_next = mu - ck * g
+            np.multiply(Y, ek, out=Y)
+            np.multiply(Yn, 1.0 + ek, out=Z)
+            np.subtract(Z, Y, out=Z)     # mu = (1 + ek) y_next - ek y
+            Y, Yn = Yn, Y
+        np.sign(mu, out=sign_next)
+        flips = np.not_equal(sign_next, sign, out=changed).nonzero()[0]
         nflips = flips.size
-        if nflips:
-            linear[flips] = a[flips] + lam[flips] * sign[flips]
-        if recursion is None:
-            raw, token = problem.evaluate(mu)
+        if nflips and recursion is not None:
+            coef = lam_eye.take(flips, axis=0) * (
+                sign_next.take(flips) - sign.take(flips))[:, None]
+            base += psi_t.take(flips % B, axis=0).T @ coef
+        sign, sign_next = sign_next, sign
+        S = problem.scores(mu) if recursion is None else v
+        if not buffered:
+            raw, token = problem._value_at(mu, S)
         else:
-            raw, token = recursion.step(mu, token, ck, ek, sign,
-                                        flips if nflips else None)
+            if rows is None:
+                np.add(S, offsets, out=Vb)
+            else:
+                np.dot(S, rows, out=Vb)
+                np.add(Vb, offsets, out=Vb)
+            token = int(Vb.argmax())  # flat row index, lowest on ties
+            raw = float(a.dot(mu) + lam.dot(np.abs(mu, out=absmu)) + Vb.item(token))
         if not floor <= constant + raw < inf:
             _check_value(raw, constant)
         if raw < best_raw:

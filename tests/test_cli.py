@@ -116,6 +116,32 @@ def test_train_deterministic_model_bytes(blob_csv, tmp_path):
     assert m1 == m2
 
 
+def test_solve_timings_in_reports_not_in_model(blob_csv, tmp_path):
+    # timings differ between runs, so they stay out of the hashed model file
+    models = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert run_cli("train", "--data", blob_csv, "--out", str(out), "--D", "10",
+                       "--max-iters", "300", "--seed", "1") == 0
+        models.append((out / "model.json").read_bytes())
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(report["timings"]) == ["lower", "upper"]
+    assert models[0] == models[1]
+    assert b"loop_seconds" not in models[0]
+    code = run_cli("bounds", "--model", str(tmp_path / "a" / "model.json"),
+                   "--out", str(tmp_path / "bounds"), "--deterministic",
+                   "--solver", "easm-restart", "--max-iters", "300")
+    assert code == 0
+    rep = json.loads((tmp_path / "bounds" / "bounds.json").read_text())
+    for timings in (report["timings"], rep["deterministic_rule"]["timings"]):
+        for side in ("lower", "upper"):
+            t = timings[side]
+            assert 0 < t["iterations"] <= 300
+            assert t["precompute_seconds"] > 0 and t["loop_seconds"] > 0
+            assert t["us_per_iteration"] == pytest.approx(
+                1e6 * t["loop_seconds"] / t["iterations"])
+
+
 def test_predict_command(blob_csv, tmp_path):
     out = str(tmp_path / "out")
     run_cli(*train_args(blob_csv, out))

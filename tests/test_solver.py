@@ -342,3 +342,149 @@ def test_bsm_stationary_exit_through_solve():
     assert run.best_mu[0] == pytest.approx(2.0 ** -0.5, abs=1e-15)
     assert run.sparsity_gamma == 1 / 2  # one sign change over two iterations
     assert len(run.iterates) == 2
+
+
+# Reference for the in-place loop: the allocating loop it replaced, with the
+# E-ASM score recursion as a class of its own. Iterates, values and tokens
+# of solver._accelerated must match it bit for bit.
+
+class _ReferenceRecursion:
+    def __init__(self, problem):
+        self.problem = problem
+        self.G = problem.psi @ problem.psi.T
+        self.psi_t = np.ascontiguousarray(problem.psi.T)
+        self.lam_eye = np.repeat(np.eye(problem.num_classes), problem.psi.shape[1],
+                                 axis=0) * problem.lam[:, None]
+
+    def start(self, mu):
+        p = self.problem
+        self.v = p.scores(mu)
+        self.w = self.v.copy()
+        self.s = np.sign(mu)
+        self.base = p.scores(p.a + p.lam * self.s)
+
+    def step(self, mu, token, ck, ek, sign, flips):
+        p = self.problem
+        i, r = divmod(token, p.rows_per_instance)
+        weights = p._row_weights(r)
+        w_next = self.v - ck * (self.base + self.G[i][:, None] * weights)
+        self.v = (1.0 + ek) * w_next - ek * self.w
+        self.w = w_next
+        if flips is not None:
+            coef = self.lam_eye[flips] * (sign[flips] - self.s[flips])[:, None]
+            self.base += self.psi_t[flips % self.psi_t.shape[0]].T @ coef
+        self.s = sign
+        return p._value_at(mu, self.v)
+
+
+def _reference_accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
+    constant = problem.constant
+    c, eta = _schedule_arrays(iters + 1)
+    raw, token = problem.evaluate(mu)
+    if recursion is not None:
+        recursion.start(mu)
+    best_raw, best_mu = raw, mu.copy()
+    if incumbent is not None and incumbent[0] - constant < best_raw:
+        best_raw, best_mu = incumbent[0] - constant, incumbent[1].copy()
+    rec.start(constant + best_raw)
+    rec.snapshot_mu(mu)
+    y = mu
+    sign = np.sign(mu)
+    linear = problem.a + problem.lam * sign
+    status, improved = "max_iters", False
+    for k in range(1, iters + 1):
+        g = problem.add_argmax_row(linear.copy(), token)
+        if basic:
+            gnorm = np.sqrt(float(g @ g))
+            if gnorm == 0.0:
+                status = "stationary"
+                rec.step(k, constant + best_raw, 0)
+                break
+            mu = mu - g / (np.sqrt(k + 1.0) * gnorm)
+        else:
+            ck, ek = c[k - 1], eta[k - 1]
+            y_next = mu - ck * g
+            mu = (1.0 + ek) * y_next - ek * y
+            y = y_next
+        prev_sign, sign = sign, np.sign(mu)
+        flips = (sign != prev_sign).nonzero()[0]
+        if flips.size:
+            linear[flips] = problem.a[flips] + problem.lam[flips] * sign[flips]
+        if recursion is None:
+            raw, token = problem.evaluate(mu)
+        else:
+            raw, token = recursion.step(mu, token, ck, ek, sign,
+                                        flips if flips.size else None)
+        if raw < best_raw:
+            best_raw, best_mu, improved = raw, mu.copy(), True
+        rec.step(k, constant + best_raw, flips.size)
+        rec.snapshot_mu(mu)
+    return constant + best_raw, best_mu, k, status, improved
+
+
+def _oracle_problems():
+    """Name -> (problem, methods): every branch of the loop."""
+    k2, unc, *_ = random_learning_problem(seed=21, n=30, kind="rff", D=5)
+    k3, *_ = random_learning_problem(seed=22, n=25, num_classes=3, kind="rff", D=4)
+    k8, *_ = random_learning_problem(seed=23, n=10, num_classes=8)
+    from mrckit import objective
+    labels = np.argmax(k2.scores(np.linspace(-1.0, 1.0, k2.dimension)), axis=1)
+    upper = objective.build_upper_bound_problem(unc, k2.psi, np.eye(2)[labels])
+    # mu_1 never moves from 0: its column is 0 and a_1 = -0.0
+    flat = row_problem(a=-np.array([0.0, 0.3, -0.2]), lam=np.array([0.1, 0.05, 0.2]),
+                       F=np.column_stack([np.zeros(12), np.random.default_rng(
+                           24).normal(size=(12, 2))]),
+                       b=np.linspace(-0.5, 0.5, 12), constant=1.0)
+    every = ("bsm", "asm", "easm", "easm_restart")
+    return {
+        "k2": (k2, every), "k3": (k3, every), "k8_topk": (k8, every),
+        "upper": (upper, every), "lower": (objective.lower_from_upper(upper), every),
+        "fixed_marginal": (replace(k2, average=True), ("bsm", "asm")),
+        "zero_column": (flat, every),
+    }
+
+
+@pytest.mark.parametrize("name", ["k2", "k3", "k8_topk", "upper", "lower",
+                                  "fixed_marginal", "zero_column"])
+def test_loop_matches_reference_bit_for_bit(name, monkeypatch):
+    problem, methods = _oracle_problems()[name]
+    for method in methods:
+        # restarts of 120 carry an incumbent into the later segments
+        cfg = SolverConfig(method=method, max_iters=400, restart_period=120,
+                           record_trace=True, record_iterates=True)
+        run = solve(problem, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_accelerated", _reference_accelerated)
+            patch.setattr(solver, "_Recursion", _ReferenceRecursion)
+            ref = solve(problem, cfg)
+        assert run.best_mu.tobytes() == ref.best_mu.tobytes(), method
+        assert run.iterates.tobytes() == ref.iterates.tobytes(), method
+        assert (run.best_value, run.iterations_done, run.status, run.sparsity_gamma,
+                run.value_drift) == (ref.best_value, ref.iterations_done, ref.status,
+                                     ref.sparsity_gamma, ref.value_drift), method
+        assert [row[::2] + row[3:] for row in run.trace] == \
+            [row[::2] + row[3:] for row in ref.trace], method
+
+
+def test_segment_with_incumbent_matches_reference():
+    # a segment started away from its incumbent, which it must beat
+    problem, *_ = random_learning_problem(seed=25, n=20, num_classes=3, kind="rff", D=3)
+    first = solve_easm(problem, SolverConfig(max_iters=60))
+    start = np.full(problem.dimension, 0.05)
+    for recursion_type, basic in ((None, True), (None, False),
+                                  (solver._Recursion, False)):
+        outs = []
+        for loop, rtype in ((solver._accelerated, recursion_type),
+                            (_reference_accelerated,
+                             recursion_type and _ReferenceRecursion)):
+            rec = solver._RunRecorder(SolverConfig(record_iterates=True),
+                                      problem.dimension)
+            rec.segment(60, 0.0)
+            given = start.copy()
+            value, mu, ran, status, improved = loop(
+                problem, given, 90, rec, (first.best_value, first.best_mu),
+                None if rtype is None else rtype(problem), basic)
+            assert np.array_equal(given, start)  # the incoming mu is not stepped
+            outs.append((value, mu.tobytes(), ran, status, improved,
+                         np.vstack(rec.iterates).tobytes(), rec.changed))
+        assert outs[0] == outs[1]
