@@ -46,7 +46,7 @@ class MrcModel:
     raw_bounds: dict = field(default_factory=dict)
     solver_info: dict = field(default_factory=dict)
     training_trace: list | None = None   # (iter, sec, best, gamma); not serialized
-    solve_timings: dict = field(default_factory=dict)  # run_timings by solve; not serialized
+    solve_timings: dict = field(default_factory=dict)  # SolverRun.timings by solve; not serialized
     learning_rows: int | None = None     # None if fixed-marginal; not serialized
 
     @property
@@ -179,7 +179,7 @@ def fit(uncertainty, anchor, psi, spec, solver_config, *, variant="standard",
             "notices": notices,
         },
         training_trace=run.trace,
-        solve_timings={"upper": run_timings(run)},
+        solve_timings={"upper": run.timings},
         learning_rows=None if problem.average else problem.num_rows,
     )
     if compute_lower and variant == "standard":
@@ -191,20 +191,8 @@ def fit(uncertainty, anchor, psi, spec, solver_config, *, variant="standard",
         model.lower_bound = _clamp(model.raw_bounds["lower"])
         model.mu_lower = low_run.best_mu
         model.solver_info["lower_certificate"] = low_run.certificate
-        model.solve_timings["lower"] = run_timings(low_run)
+        model.solve_timings["lower"] = low_run.timings
     return model
-
-
-def run_timings(run):
-    """Where a solve's time went: precompute and loop seconds, iterations
-    (simplex pivots for the LP) and microseconds per iteration."""
-    loop, iterations = run.timings["loop_seconds"], run.timings["iterations"]
-    return {
-        "precompute_seconds": run.timings.get("precompute_seconds", 0.0),
-        "loop_seconds": loop,
-        "iterations": iterations,
-        "us_per_iteration": 1e6 * loop / max(iterations, 1),
-    }
 
 
 def _solve_learning(unc, psi, num_classes, solver_config, variant, repair):
@@ -345,7 +333,7 @@ class RuleBounds:
     upper_certificate: str
     mu_lower: np.ndarray
     mu_upper: np.ndarray
-    timings: dict = field(default_factory=dict)  # run_timings of "lower", "upper"
+    timings: dict = field(default_factory=dict)  # SolverRun.timings of "lower", "upper"
 
 
 def bounds_for_rule(uncertainty, instances, spec, h, solver_config=None):
@@ -375,7 +363,7 @@ def rule_bounds(uncertainty, psi, h, solver_config=None):
         lower_certificate=low_run.certificate,
         upper_certificate=high_run.certificate,
         mu_lower=low_run.best_mu, mu_upper=high_run.best_mu,
-        timings={"lower": run_timings(low_run), "upper": run_timings(high_run)},
+        timings={"lower": low_run.timings, "upper": high_run.timings},
     )
 
 

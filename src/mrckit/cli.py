@@ -438,13 +438,10 @@ def cmd_bench_solvers(args):
         run = solve(problem, cfg)
         trace_path = out_dir / f"trace_{name}.csv"
         _write_trace_csv(trace_path, run.trace)
-        per_iter = run.timings["loop_seconds"] / max(run.iterations_done, 1)
         summary["methods"][name] = {
             "best_value": run.best_value,
             "initial_value": run.trace[0][2] if run.trace else None,
-            "iterations": run.iterations_done,
-            "seconds_per_iteration": per_iter,
-            "precompute_seconds": run.timings.get("precompute_seconds", 0.0),
+            **run.timings,
             "gamma": run.sparsity_gamma,
             "trace": str(trace_path),
         }

@@ -110,14 +110,19 @@ class PiecewiseLinearProblem:
             return w / w.sum(axis=-1, keepdims=True)
         return self._scaled[rows]
 
-    def _value_at(self, mu, S):
-        """Value (constant excluded) and token at mu, given S = scores(mu)."""
-        base = self.a @ mu + self.lam @ np.abs(mu)
+    def _value_at(self, mu, S, out=None):
+        """Value (constant excluded) and token at mu, given S = scores(mu).
+        `out`, an (n, R) buffer, receives the row values when the rows are
+        materialized; None allocates them."""
+        base = self.a.dot(mu) + self.lam.dot(np.abs(mu))
         if self.weights is None:
             top, rows = _topk_rows(S)
         else:
-            V = S if self._row_matrix is None else S @ self._row_matrix
-            V = V + self.offsets
+            if self._row_matrix is None:
+                V = np.add(S, self.offsets, out=out)
+            else:
+                V = np.dot(S, self._row_matrix, out=out)
+                np.add(V, self.offsets, out=V)
             if not self.average:
                 token = int(V.argmax())  # flat row index, lowest on ties
                 return float(base + V.item(token)), token
@@ -128,25 +133,33 @@ class PiecewiseLinearProblem:
         i = int(np.argmax(top))
         return float(base + top[i]), i * self.rows_per_instance + int(rows[i])
 
-    def evaluate(self, mu):
-        """Objective value (constant excluded) and the argmax token."""
-        return self._value_at(mu, self.scores(mu))
+    def evaluate(self, mu, out=None):
+        """Objective value (constant excluded) and the argmax token; `out`
+        as for _value_at."""
+        return self._value_at(mu, self.scores(mu), out)
 
     def subgradient_from(self, mu, token):
         """Subgradient at mu for the argmax token."""
         return self.add_argmax_row(self.a + self.lam * np.sign(mu), token)
 
-    def add_argmax_row(self, g, token):
-        """Add the row(s) of F picked by `token` to g in place; returns g."""
+    def add_argmax_row(self, g, token, scores=None, gram=None):
+        """Add the row(s) of F picked by `token` to g in place; returns g.
+        Given the instance Gram `gram` = psi psi^T, also add that row's
+        n x K scores to `scores` in place (max problems only)."""
         if self.average:
             g += (self._row_weights(token).T @ self.psi).ravel() / self.psi.shape[0]
             return g
         i, r = divmod(token, self.rows_per_instance)
         members = self._members_of(r)
-        row = self.psi[i] / len(members)
+        size = len(members)
+        row = self.psi[i] if size == 1 else self.psi[i] / size
         B = row.size
         for c in members:
             g[c * B:(c + 1) * B] += row
+        if gram is not None:
+            Gi = gram[i] if size == 1 else gram[i] * (1.0 / size)
+            for c in members:
+                scores[:, c] += Gi
         return g
 
     def objective(self, mu):

@@ -77,7 +77,7 @@ class SolverRun:
     trace: list | None = None          # rows (iteration, seconds, best_value, gamma)
     iterates: np.ndarray | None = None
     sparsity_gamma: float | None = None  # sign changes / (iterations x m)
-    timings: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)  # see _timings
     value_drift: float = 0.0           # recursion's best value minus the exact one
 
 
@@ -207,8 +207,8 @@ def _accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
 
     A step is bsm's mu - g / (sqrt(k+1) ||g||) when `basic`, which stops
     as "stationary" at g = 0, else the accelerated schedule's. Values and
-    argmax rows come from the scores psi mu_c^T, or from the recursion when
-    one is given: then the state vector Z = [mu | v] also holds the n x K
+    argmax rows come from problem.evaluate, or from the recursion when one
+    is given: then the state vector Z = [mu | v] also holds the n x K
     scores v of mu, y and the subgradient g carry their scores the same
     way, and one in-place step moves both. The incumbent (value, mu) of
     earlier segments stays the best unless beaten. Returns the best value
@@ -230,14 +230,14 @@ def _accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
         best_mu = incumbent[1].copy()
     rec.start(constant + best_raw)
     rec.snapshot_mu(mu)
-    a, lam, psi = problem.a, problem.lam, problem.psi
-    (n, B), K, R = psi.shape, problem.num_classes, problem.rows_per_instance
-    m = a.size
+    a, lam = problem.a, problem.lam
+    (n, B), K, m = problem.psi.shape, problem.num_classes, a.size
     tail = 0 if recursion is None else n * K
     Z = np.empty(m + tail)  # [mu | scores of mu]; Y and Yn hold y the same way
     Z[:m] = mu
     gb = np.empty(m + tail)  # [g | scores of g]
-    mu, gm, gc = Z[:m], gb[:m], gb[:m].reshape(K, B)  # gc: g's class blocks
+    mu, gm = Z[:m], gb[:m]
+    G = gs = None
     if recursion is not None:
         G, psi_t, lam_eye = recursion.G, recursion.psi_t, recursion.lam_eye
         v, gs = Z[m:].reshape(n, K), gb[m:].reshape(n, K)
@@ -245,32 +245,17 @@ def _accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
         base = problem.scores(a + lam * np.sign(mu))  # scores of a + lam * sign
     Y, Yn = Z.copy(), np.empty_like(Z)
     sign, sign_next = np.sign(mu), np.empty(m)
-    absmu, changed = np.empty(m), np.empty(m, dtype=bool)
-    # the value at a row max over materialized weights reuses one buffer;
-    # top-k and averaged problems take problem._value_at
-    buffered = problem.weights is not None and not problem.average
-    if buffered:
-        offsets, rows = problem.offsets, problem._row_matrix
-        Vb = np.empty(offsets.shape)
+    changed = np.empty(m, dtype=bool)
+    # row values of materialized rows go to one buffer (none for top-k rows)
+    Vb = None if problem.weights is None else np.empty((n, problem.rows_per_instance))
     status = "max_iters"
     improved = False
     for k in range(1, iters + 1):
         np.multiply(lam, sign, out=gm)
         np.add(gm, a, out=gm)  # the subgradient's a + lam * sign(mu) part
-        if problem.average:
-            problem.add_argmax_row(gm, token)
-        else:
-            i, r = divmod(token, R)
-            members = problem._members_of(r)
-            size = len(members)
-            row = psi[i] if size == 1 else psi[i] / size
-            for cls in members:
-                gc[cls] += row
-            if recursion is not None:
-                np.copyto(gs, base)
-                Gi = G[i] if size == 1 else G[i] * (1.0 / size)
-                for cls in members:
-                    gs[:, cls] += Gi
+        if recursion is not None:
+            np.copyto(gs, base)
+        problem.add_argmax_row(gm, token, gs, G)
         if basic:
             gnorm = math.sqrt(float(gm @ gm))
             if gnorm == 0.0:  # zero subgradient: mu is a minimizer
@@ -295,17 +280,10 @@ def _accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
                 sign_next.take(flips) - sign.take(flips))[:, None]
             base += psi_t.take(flips % B, axis=0).T @ coef
         sign, sign_next = sign_next, sign
-        S = problem.scores(mu) if recursion is None else v
-        if not buffered:
-            raw, token = problem._value_at(mu, S)
+        if recursion is None:
+            raw, token = problem.evaluate(mu, Vb)
         else:
-            if rows is None:
-                np.add(S, offsets, out=Vb)
-            else:
-                np.dot(S, rows, out=Vb)
-                np.add(Vb, offsets, out=Vb)
-            token = int(Vb.argmax())  # flat row index, lowest on ties
-            raw = float(a.dot(mu) + lam.dot(np.abs(mu, out=absmu)) + Vb.item(token))
+            raw, token = problem._value_at(mu, v, Vb)
         if not floor <= constant + raw < inf:
             _check_value(raw, constant)
         if raw < best_raw:
@@ -337,11 +315,11 @@ def _solve_accelerated(problem, config, method):
             raise SolverError("restart_period must be at least 1")
         period = config.restart_period
     recursion = None
-    timings = {}
+    precompute = 0.0
     if method in ("easm", "easm_restart"):
         t0 = time.perf_counter()
         recursion = _Recursion(problem)
-        timings["precompute_seconds"] = time.perf_counter() - t0
+        precompute = time.perf_counter() - t0
     m = problem.dimension
     mu = np.zeros(m)
     rec = _RunRecorder(config, m)
@@ -367,12 +345,11 @@ def _solve_accelerated(problem, config, method):
     if recursion is not None:
         exact = problem.objective(best_mu)
         best_value, drift = exact, best_value - exact
-    timings.update(loop_seconds=loop_seconds, iterations=done)
     return SolverRun(
         best_mu=best_mu, best_value=best_value, iterations_done=done,
         method=method, status=status, trace=rec.trace,
         iterates=_stack(rec.iterates), sparsity_gamma=flips / (done * m),
-        timings=timings, value_drift=drift,
+        timings=_timings(precompute, loop_seconds, done), value_drift=drift,
     )
 
 
@@ -447,9 +424,16 @@ def solve_lp(problem, config=None):
         best_mu=mu, best_value=problem.constant + result.value,
         iterations_done=result.pivots, method="lp", status="optimal",
         certificate="lp",
-        timings={"loop_seconds": time.perf_counter() - t0,
-                 "iterations": result.pivots},
+        timings=_timings(0.0, time.perf_counter() - t0, result.pivots),
     )
+
+
+def _timings(precompute, loop, iterations):
+    """SolverRun.timings: precompute and loop seconds, iterations (simplex
+    pivots for the LP) and microseconds per iteration."""
+    return {"precompute_seconds": precompute, "loop_seconds": loop,
+            "iterations": iterations,
+            "us_per_iteration": 1e6 * loop / max(iterations, 1)}
 
 
 def _stack(iterates):
