@@ -262,28 +262,29 @@ def rule_from_scores(model, scores):
     where every score falls below it; the fixed-marginal variant thresholds
     each instance at its own support-function value.
     """
-    (rule,) = rules_by_chunk(model, [scores])  # unpacking runs it to the end
-    return rule
+    labels, h, renormalized = rule_rows(model, scores)
+    warn_renormalized(renormalized)
+    return labels, h
 
 
-def rules_by_chunk(model, score_chunks):
-    """rule_from_scores of each score matrix in `score_chunks`, one (labels, h)
-    per chunk; rows renormalized by the fixed-marginal rule are reported in
-    one warning after the last chunk."""
-    renormalized = 0
-    for scores in score_chunks:
-        labels = np.argmax(scores, axis=1) + 1
-        if model.variant != "fixed_marginal":
-            h = _rule_matrix_from_scores(scores, model.phi_star, model.num_classes)
-        else:
-            h = np.maximum(scores - objective.phi_per_instance(scores)[:, None], 0.0)
-            sums = h.sum(axis=1)
-            off = np.abs(sums - 1.0) > 1e-9
-            h[off] /= sums[off, None]
-            renormalized += int(off.sum())
-        yield labels, h
-    if renormalized:
-        log.warning("renormalizing %d rule rows that summed off 1 by >1e-9", renormalized)
+def rule_rows(model, scores):
+    """(labels, h, count): rule_from_scores without its warning, and the
+    number of rows the fixed-marginal rule renormalized."""
+    labels = np.argmax(scores, axis=1) + 1
+    if model.variant != "fixed_marginal":
+        return labels, _rule_matrix_from_scores(scores, model.phi_star,
+                                                model.num_classes), 0
+    h = np.maximum(scores - objective.phi_per_instance(scores)[:, None], 0.0)
+    sums = h.sum(axis=1)
+    off = np.abs(sums - 1.0) > 1e-9
+    h[off] /= sums[off, None]
+    return labels, h, int(off.sum())
+
+
+def warn_renormalized(count):
+    """Log one warning for `count` renormalized rule rows, if any."""
+    if count:
+        log.warning("renormalizing %d rule rows that summed off 1 by >1e-9", count)
 
 
 def predict_proba(model, X):

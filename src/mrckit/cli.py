@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -20,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classifier, estimate, features, objective, parallel
-from .dataset import (DataError, feature_chunks, load_csv, load_features,
-                      stratified_folds, stratified_split)
+from .dataset import (DataError, block_features, load_csv, load_features,
+                      record_blocks, stratified_folds, stratified_split)
 from .simplex import SimplexError
 from .solver import METHODS, SolverConfig, SolverError, lp_fits, solve
 
@@ -29,8 +30,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 
-# `predict` maps, scores and writes this many rows at a time, so its memory
-# does not grow with the input.
+# `predict` maps, scores and formats this many rows at a time, so its memory
+# does not grow with the input; the blocks are striped over parallel's
+# workers.
 PREDICT_CHUNK_ROWS = 2048
 
 SOLVER_CHOICES = [method.replace("_", "-") for method in METHODS]
@@ -252,18 +254,30 @@ def cmd_predict(args):
         head += [f"p_{name}" for name in model.label_names]
     out_path = out_dir / "predictions.csv"
     partial = out_dir / "predictions.csv.partial"
-    # each chunk is read, scored and written before the next is read; the
-    # output is renamed into place only once every row has been written
-    chunks = feature_chunks(args.data, model.feature_spec.d, args.has_header,
-                            PREDICT_CHUNK_ROWS)
+
+    def rows_text(block):
+        """One block's prediction rows as CSV text, and its count of
+        renormalized rule rows."""
+        X = block_features(args.data, block, model.feature_spec.d)
+        labels, proba, renormalized = classifier.rule_rows(
+            model, classifier.batch_scores(model, X))
+        columns = proba.T.tolist() if args.proba else ()
+        text = io.StringIO()
+        csv.writer(text).writerows(zip(names[labels - 1].tolist(), *columns))
+        return text.getvalue(), renormalized
+
+    # the blocks' texts come back in file order; the output is renamed into
+    # place only once every row has been written
+    texts = parallel.ordered_stream(
+        rows_text, lambda: record_blocks(args.data, args.has_header, PREDICT_CHUNK_ROWS))
     try:
-        with closing(chunks), open(partial, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(head)
-            scores = (classifier.batch_scores(model, X) for X in chunks)
-            for labels, proba in classifier.rules_by_chunk(model, scores):
-                columns = proba.T.tolist() if args.proba else ()
-                writer.writerows(zip(names[labels - 1].tolist(), *columns))
+        with closing(texts), open(partial, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerow(head)
+            renormalized = 0
+            for text, count in texts:
+                fh.write(text)
+                renormalized += count
+        classifier.warn_renormalized(renormalized)
         os.replace(partial, out_path)
     except BaseException:
         partial.unlink(missing_ok=True)

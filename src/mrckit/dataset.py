@@ -55,7 +55,7 @@ class NormalizationStats:
 LOAD_CHUNK_ROWS = 8192
 
 
-def _record_blocks(path, has_header, chunk_rows):
+def record_blocks(path, has_header, chunk_rows):
     """(line numbers, rows) of successive blocks of at most chunk_rows
     non-blank data rows; line numbers count CSV records from 1. A UTF-8
     byte-order mark is skipped. Raises DataError when there are no data rows.
@@ -134,7 +134,7 @@ def load_csv(path, has_header=False):
     width = None
     blocks = []
     labels_raw = []
-    for lines, rows in _record_blocks(path, has_header, LOAD_CHUNK_ROWS):
+    for lines, rows in record_blocks(path, has_header, LOAD_CHUNK_ROWS):
         if width is None:
             width = len(rows[0])
             if width < 2:
@@ -160,21 +160,20 @@ def load_csv(path, has_header=False):
     return Dataset(np.concatenate(blocks), encoded, tuple(names))
 
 
-def feature_chunks(path, d, has_header=False, chunk_rows=LOAD_CHUNK_ROWS):
-    """The feature matrices of successive blocks of at most chunk_rows rows.
+def block_features(path, block, d):
+    """The feature matrix of one (line numbers, rows) block of record_blocks.
 
     Rows hold d feature columns, optionally followed by a label column that
-    is ignored. Cells are parsed and checked as in load_csv. A block is read
-    from the file only when the one before it has been taken.
+    is ignored. Cells are parsed and checked as in load_csv.
     """
-    for lines, rows in _record_blocks(path, has_header, chunk_rows):
-        yield _features(path, lines, rows, (d, d + 1), d,
-                        f"; model expects {d} features")
+    lines, rows = block
+    return _features(path, lines, rows, (d, d + 1), d, f"; model expects {d} features")
 
 
 def load_features(path, d, has_header=False):
-    """Load the (n, d) feature matrix of a CSV file (see feature_chunks)."""
-    return np.concatenate(list(feature_chunks(path, d, has_header)))
+    """Load the (n, d) feature matrix of a CSV file (see block_features)."""
+    return np.concatenate([block_features(path, block, d) for block
+                           in record_blocks(path, has_header, LOAD_CHUNK_ROWS)])
 
 
 def save_csv(dataset, path, header=None):

@@ -15,19 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import parallel
-
 KIND_IDENTITY = "one_hot_identity"
 KIND_RFF = "random_fourier"
 
 # Gaussian frequency sampling uses numpy's seeded PCG64 generator; the
 # generator name is recorded in serialized specs for reproducibility.
 RNG_NAME = "numpy-pcg64"
-
-# Random Fourier maps of more projections than this run their cos/sin on
-# several threads (parallel.split_rows); below it a thread costs more than
-# it saves.
-SPLIT_MIN_ELEMENTS = 65536
 
 
 @dataclass
@@ -105,19 +98,10 @@ def scalar_feature_matrix(spec, X):
     if spec.kind == KIND_IDENTITY:
         base = X
     else:
-        # one product over the whole block: its rounding depends on the row
-        # count, the elementwise cos/sin's does not
         Z = X @ frequencies(spec).T
         base = np.empty((X.shape[0], 2 * spec.D))
-
-        def cos_sin(start, stop):
-            np.cos(Z[start:stop], out=base[start:stop, 0::2])
-            np.sin(Z[start:stop], out=base[start:stop, 1::2])
-
-        if Z.size > SPLIT_MIN_ELEMENTS:
-            parallel.split_rows(cos_sin, Z.shape[0])
-        else:
-            cos_sin(0, Z.shape[0])
+        np.cos(Z, out=base[:, 0::2])
+        np.sin(Z, out=base[:, 1::2])
     if spec.include_constant:
         ones = np.ones((base.shape[0], 1))
         base = np.hstack([ones, base])

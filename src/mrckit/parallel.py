@@ -1,23 +1,23 @@
 """Ordered map over independent tasks, run side by side in forked workers.
 
-`ordered_map(fn, tasks)` returns what `[fn(t) for t in tasks]` returns, and
-raises what it raises: the exception of the first task, in input order,
-that raised. With W = min(len(tasks), usable CPUs, MAX_WORKERS) > 1 the
-calling process forks W - 1 workers; task i runs in worker i mod W, the
-caller being worker 0. A forked worker inherits the tasks and `fn`, so
-nothing is pickled on the way in; it pickles its results (or the exception
-that stopped it) back through a pipe. Every task runs the same arithmetic
-wherever it runs, so the results do not depend on the CPU count. If a pipe
-or a fork cannot be made, the caller runs the stripes of the workers it
-could not start.
+`ordered_stream(fn, tasks)` yields what `(fn(t) for t in tasks())` yields,
+and raises what it raises, where it raises it. With W = min(number of
+tasks, usable CPUs, MAX_WORKERS) > 1 the calling process forks W - 1
+workers; task i runs in worker i mod W, the caller being worker 0. Each
+worker calls `tasks()` itself after the fork (a task iterator that reads a
+file opens its own copy) and runs `fn` on its own stripe only, so nothing
+is pickled on the way in. It pickles each outcome (a result, or the
+exception that stopped it) back through its pipe; the caller reads them
+in task order, and a full pipe holds the worker back until the caller
+catches up. Every task runs the same arithmetic wherever it runs, so the
+results do not depend on the CPU count. If a pipe or a fork cannot be
+made, the caller runs the stripes of the workers it could not start.
+`ordered_map(fn, tasks)` is the list of that stream over a list of tasks.
 
 The map runs inline with one task, one usable CPU, no `os.fork`, or inside
 a task of another map, so at most MAX_WORKERS processes run tasks at once.
-
-Within a process, `split_rows` runs the blocks of a row range on threads.
-It joins every thread it starts before it returns or raises, so no mrckit
-thread is alive when the map forks. BLAS runs one thread per process (see
-the package's __init__).
+A worker ends with `os._exit`, so it never flushes what the caller had
+open. BLAS runs one thread per process (see the package's __init__).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import pickle
 import sys
-import threading
+from itertools import chain
 
 
 class WorkerError(RuntimeError):
@@ -35,10 +35,11 @@ class WorkerError(RuntimeError):
 # Each worker holds its own problem (and, under E-ASM, its own n x n Gram,
 # which solver.EASM_BUDGET_BYTES checks one solve at a time), so memory
 # grows with the worker count. Two workers is the count whose time and
-# summed peak RSS were measured; split_rows starts at most as many threads.
+# summed peak RSS were measured.
 MAX_WORKERS = 2
 
-_busy = False  # set while this process runs tasks of a map
+_busy = False  # set while this process runs a task of a map
+_FRAME = 8     # bytes of the length that precedes each pickled outcome
 
 
 def usable_cpus():
@@ -52,14 +53,27 @@ def usable_cpus():
 def ordered_map(fn, tasks):
     """[fn(t) for t in tasks], computed by up to MAX_WORKERS processes."""
     tasks = list(tasks)
-    workers = min(len(tasks), usable_cpus(), MAX_WORKERS)
-    if workers <= 1 or _busy or not hasattr(os, "fork"):
-        return [fn(task) for task in tasks]
+    return list(ordered_stream(fn, lambda: iter(tasks)))
+
+
+def ordered_stream(fn, tasks):
+    """fn(t) for each t of the iterator that `tasks()` returns, in order,
+    computed by up to MAX_WORKERS processes; each process calls `tasks()`
+    for itself."""
+    mine = tasks()
+    if _busy or not hasattr(os, "fork"):
+        workers = 1
+    else:
+        workers, mine = _peek(mine, min(usable_cpus(), MAX_WORKERS))
+    if workers <= 1:
+        for task in mine:
+            yield fn(task)
+        return
     sys.stdout.flush()  # so a worker's exit cannot repeat buffered output
     sys.stderr.flush()
-    children = []  # (pid, read end of its pipe as a file)
+    children = {}  # stripe -> (pid, read end of its pipe as a file)
     try:
-        for start in range(1, workers):
+        for stripe in range(1, workers):
             try:
                 read_fd, write_fd = os.pipe()
             except OSError:  # out of file descriptors
@@ -72,63 +86,93 @@ def ordered_map(fn, tasks):
                 break
             if pid == 0:
                 os.close(read_fd)
-                _work(fn, tasks, range(start, len(tasks), workers),
-                      write_fd)  # does not return
+                _work(fn, tasks, stripe, workers, write_fd)  # does not return
             os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        # the caller's stripe, and the stripes of workers that did not start
-        started = range(1, 1 + len(children))
-        mine = [i for i in range(len(tasks)) if i % workers not in started]
-        outcomes = dict(_stripe(fn, tasks, mine))
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            outcomes.update(_unpack(payload, status))
+            children[stripe] = (pid, os.fdopen(read_fd, "rb"))
+        for i, task in enumerate(mine):
+            if i % workers not in children:  # the caller's, or an unstarted worker's
+                yield _call(fn, task)
+                continue
+            pid, pipe = children[i % workers]
+            payload = _receive(pipe)
+            if payload is None:  # the worker exited or died: reap it
+                del children[i % workers]
+                pipe.close()
+                raise WorkerError(_ended(os.waitpid(pid, 0)[1]))
+            try:
+                ok, value = pickle.loads(payload)
+            except Exception as exc:  # a result or exception that does not unpickle
+                raise WorkerError("a worker process sent results that could not "
+                                  f"be read ({exc})") from None
+            if not ok:
+                raise value
+            yield value
+        while children:  # each has sent its stripe and is exiting
+            pid, pipe = children.popitem()[1]
+            pipe.close()
+            os.waitpid(pid, 0)
     finally:
-        if children:  # only after an error in this process
+        if children:  # only after an error, or when the stream is closed early
             import signal  # here, so that no command start pays for it
-        for pid, pipe in children:
+        for pid, pipe in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
-    results = []
-    for i in range(len(tasks)):
-        # the tasks a stripe skipped follow its failed one, raised first
-        ok, value = outcomes[i]
-        if not ok:
-            raise value
-        results.append(value)
-    return results
 
 
-def _stripe(fn, tasks, indices):
-    """(index, (ok, result or exception)) of the tasks at `indices`, in
-    order, stopping after the first that raises."""
+def _receive(pipe):
+    """The next pickled outcome a worker sent, or None if its pipe ends
+    first."""
+    header = pipe.read(_FRAME)
+    if len(header) == _FRAME:
+        size = int.from_bytes(header, "little")
+        payload = pipe.read(size)
+        if len(payload) == size:
+            return payload
+    return None
+
+
+def _peek(iterator, count):
+    """How many items, up to `count`, `iterator` yields before it ends or
+    raises, and an iterator over all its items that raises where it raised
+    and lets each item go once it is past."""
+    head = []
+    try:
+        while len(head) < count:
+            head.append(next(iterator))
+    except StopIteration:
+        pass
+    except Exception as exc:
+        iterator = _raising(exc)
+    return len(head), chain(iter(head), iterator)
+
+
+def _raising(exc):
+    raise exc
+    yield  # a generator, so that the raise waits for the first next()
+
+
+def _call(fn, task):
+    """fn(task), with any map inside it running inline."""
     global _busy
-    done = []
     _busy = True
     try:
-        for i in indices:
-            try:
-                done.append((i, (True, fn(tasks[i]))))
-            except Exception as exc:
-                done.append((i, (False, exc)))
-                break
+        return fn(task)
     finally:
         _busy = False
-    return done
 
 
-def _work(fn, tasks, indices, write_fd):
-    """Body of a forked worker: run a stripe, send it back, exit."""
+def _work(fn, tasks, stripe, workers, write_fd):
+    """Body of a forked worker: walk tasks(), send (ok, result or exception)
+    for each task of its stripe, stop after the first failure, exit."""
     code = 1
     try:
-        payload = pickle.dumps(_stripe(fn, tasks, indices))
-        with os.fdopen(write_fd, "wb") as fh:
-            fh.write(payload)
+        with os.fdopen(write_fd, "wb") as pipe:
+            for ok, value in _outcomes(fn, tasks, stripe, workers):
+                payload = pickle.dumps((ok, value))
+                pipe.write(len(payload).to_bytes(_FRAME, "little"))
+                pipe.write(payload)
+                pipe.flush()
         code = 0
     finally:
         try:
@@ -138,56 +182,21 @@ def _work(fn, tasks, indices, write_fd):
             os._exit(code)
 
 
-def _unpack(payload, status):
-    """A worker's outcomes, or WorkerError if it sent none."""
+def _outcomes(fn, tasks, stripe, workers):
+    """(True, fn(task)) for each task of the stripe, then (False, exception)
+    if fn or tasks() raises."""
+    try:
+        for i, task in enumerate(tasks()):
+            if i % workers == stripe:
+                yield True, _call(fn, task)
+    except Exception as exc:  # from fn or from the iterator itself
+        yield False, exc
+
+
+def _ended(status):
+    """The WorkerError message for a worker that exited with `status`."""
     if os.WIFSIGNALED(status):
         how = f"was killed by signal {os.WTERMSIG(status)}"
     else:
         how = f"exited with code {os.waitstatus_to_exitcode(status)}"
-    if status == 0 and payload:
-        try:
-            return pickle.loads(payload)
-        except Exception as exc:  # a result or exception that does not unpickle
-            how = f"sent results that could not be read ({exc})"
-    raise WorkerError(f"a worker process {how} before returning its results")
-
-
-class _Block(threading.Thread):
-    """fn(start, stop) on a thread of its own; what it raises is kept in
-    `error`, for split_rows to raise in the calling thread."""
-
-    def __init__(self, fn, start, stop):
-        super().__init__(daemon=True)
-        self.fn, self.rows = fn, (start, stop)
-        self.error = None
-
-    def run(self):
-        try:
-            self.fn(*self.rows)
-        except BaseException as exc:  # re-raised by split_rows
-            self.error = exc
-
-
-def split_rows(fn, rows):
-    """fn(start, stop) over contiguous blocks that cover range(rows), one per
-    usable CPU up to MAX_WORKERS, the caller running the first and a thread
-    each of the others (or the caller, if no thread can be made). One block
-    inside a task of ordered_map. Every thread is joined before this returns
-    or raises; a failed block's exception is raised, the first in row order."""
-    workers = 1 if _busy else max(1, min(rows, usable_cpus(), MAX_WORKERS))
-    cuts = [rows * i // workers for i in range(workers + 1)]
-    blocks = [_Block(fn, cuts[i], cuts[i + 1]) for i in range(1, workers)]
-    try:
-        for block in blocks:
-            try:
-                block.start()
-            except RuntimeError:  # out of threads or memory
-                block.run()
-        fn(cuts[0], cuts[1])
-    finally:
-        for block in blocks:
-            if block.ident is not None:  # started
-                block.join()
-    for block in blocks:
-        if block.error is not None:
-            raise block.error
+    return f"a worker process {how} before returning its results"

@@ -144,8 +144,7 @@ class _Simplex:
         singular or infeasible."""
         units = cols[cols >= self.nd]
         rows = self.urow[units - self.nd]
-        if (cols.size != self.p or np.unique(cols).size != cols.size
-                or np.unique(rows).size != rows.size):
+        if cols.size != self.p or not (_distinct(cols) and _distinct(rows)):
             return False
         self._set(units, rows, cols[cols < self.nd])
         try:
@@ -380,3 +379,9 @@ class _Simplex:
     def basic_columns(self):
         cols = self.slot_columns()
         return self.order[cols[(cols >= 0) & (cols < self.real)]]
+
+
+def _distinct(a):
+    """Whether the entries of the integer array `a` are pairwise distinct."""
+    a = np.sort(a)
+    return not (a[1:] == a[:-1]).any()

@@ -1,14 +1,14 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
 
-from mrckit import classifier, cli, objective
+from mrckit import classifier, cli, objective, parallel
 from mrckit.cli import main
 from mrckit.dataset import save_csv
 from conftest import make_blobs
@@ -272,21 +272,83 @@ def test_predict_bad_cell_past_first_chunk(blob_csv, tmp_path, capsys, header,
     assert os.listdir(pred) == []  # no predictions.csv and no partial file
 
 
-def test_predict_leaves_no_thread_behind(blob_csv, tmp_path, capsys):
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_predict_leaves_no_child_behind(blob_csv, tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "out")
-    # at D = 64 a chunk's cos/sin runs on split_rows' threads
-    assert run_cli("train", "--data", blob_csv, "--out", out, "--D", "64",
-                   "--solver", "asm", "--max-iters", "200", "--seed", "1") == 0
+    run_cli(*train_args(blob_csv, out))
+    model = os.path.join(out, "model.json")
     bad = tmp_path / "bad.csv"
-    write_stream_input(bad, 6000, 5000, "nan", header=False)
-    threads = threading.active_count()
+    write_stream_input(bad, 60, 50, "nan", header=False)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", 7)  # blocks in two processes
     for data, expected in ((blob_csv, 0), (str(bad), 1)):
-        code = run_cli("predict", "--model", os.path.join(out, "model.json"),
-                       "--data", data, "--out", str(tmp_path / f"pred{expected}"),
-                       "--proba")
-        assert code == expected
-        assert threading.active_count() == threads
-    assert "row 5000, column 2" in capsys.readouterr().err
+        pred = tmp_path / f"pred{expected}"
+        assert run_cli("predict", "--model", model, "--data", data, "--out",
+                       str(pred), "--proba") == expected
+        assert_no_child_process()
+    assert "row 50, column 2" in capsys.readouterr().err
+    parent, batch_scores = os.getpid(), classifier.batch_scores
+
+    def die_in_worker(model, X):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return batch_scores(model, X)
+
+    monkeypatch.setattr(classifier, "batch_scores", die_in_worker)
+    pred = tmp_path / "killed"
+    assert run_cli("predict", "--model", model, "--data", blob_csv, "--out",
+                   str(pred), "--proba") == 2
+    err = capsys.readouterr().err
+    assert "worker process was killed by signal 9" in err and "Traceback" not in err
+    assert os.listdir(pred) == []
+    assert_no_child_process()
+
+
+def test_predict_worker_error_names_first_bad_cell(blob_csv, tmp_path, monkeypatch,
+                                                   capsys):
+    out = str(tmp_path / "out")
+    run_cli(*train_args(blob_csv, out))
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", 7)
+    # block k goes to process k mod 2: rows 8-14 to the worker, 15-21 to the caller
+    X = make_blobs(30, d=2, seed=4).instances
+    cells = {10: "abc", 16: "nan"}
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(f"{a!r},{cells.get(i, repr(b))}\n"
+                           for i, (a, b) in enumerate(X.tolist(), start=1)))
+    pred = tmp_path / "pred"
+    capsys.readouterr()
+    code = run_cli("predict", "--model", os.path.join(out, "model.json"),
+                   "--data", str(bad), "--out", str(pred), "--proba")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "row 10, column 2: cannot parse 'abc'" in err and "row 16" not in err
+    assert "Traceback" not in err
+    assert os.listdir(pred) == []  # no predictions.csv and no partial file
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("chunk_rows", [7, 2048])
+def test_predict_bytes_same_at_one_and_two_cpus(tmp_path, monkeypatch, chunk_rows):
+    save_csv(make_blobs(60, d=2, seed=0, sep=3.0), tmp_path / "train.csv")
+    out = str(tmp_path / "out")
+    assert run_cli("train", "--data", str(tmp_path / "train.csv"), "--out", out,
+                   "--D", "20", "--max-iters", "200", "--seed", "1") == 0
+    data = tmp_path / "test.csv"
+    save_csv(make_blobs(5000, d=2, seed=2), data)  # 715 or 3 blocks: odd counts
+    monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", chunk_rows)
+    written = []
+    for n in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
+        pred = tmp_path / f"pred{n}"
+        assert run_cli("predict", "--model", os.path.join(out, "model.json"),
+                       "--data", str(data), "--out", str(pred), "--proba") == 0
+        written.append((pred / "predictions.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_predict_dev_mode_closes_files(blob_csv, tmp_path):

@@ -5,7 +5,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 
 import numpy as np
@@ -138,6 +137,67 @@ def test_map_stops_other_workers_after_a_lost_one(cpus, monkeypatch):
     assert time.monotonic() - start < 30  # the sleeping worker was killed
 
 
+def _no_child_process():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_stream_workers_build_their_own_tasks(cpus):
+    cpus(2)
+    # each process calls tasks() itself, after the fork
+    tasks = lambda: ((os.getpid(), i) for i in range(7))
+    own = list(parallel.ordered_stream(lambda t: (t[0] == os.getpid(), t[1]), tasks))
+    assert own == [(True, i) for i in range(7)]
+    assert _no_child_process()
+
+
+@pytest.mark.parametrize("good", [1, 5])
+def test_stream_raises_a_task_iterator_error_in_order(cpus, good):
+    cpus(2)
+
+    def tasks():
+        yield from range(good)
+        raise ValueError("tasks ended badly")
+
+    seen = []
+    with pytest.raises(ValueError, match="tasks ended badly"):
+        for value in parallel.ordered_stream(_square, tasks):
+            seen.append(value)
+    assert seen == [x * x for x in range(good)]
+    assert _no_child_process()
+
+
+def test_stream_holds_a_worker_back_and_kills_it_when_closed(cpus, tmp_path):
+    cpus(2)
+    log = tmp_path / "ran"
+
+    def big(i):
+        with open(log, "a") as fh:
+            fh.write(f"{i}\n")
+        return bytes(1 << 20)  # far more than a pipe holds
+
+    stream = parallel.ordered_stream(big, lambda: iter(range(40)))
+    assert len(next(stream)) == 1 << 20  # task 0, run by the caller
+    time.sleep(0.5)
+    ran = sorted(map(int, log.read_text().split()))
+    assert ran[0] == 0 and len(ran) <= 3  # the worker waits on task 1's frame
+
+    def waited_too_long(signum, frame):
+        raise TimeoutError("closing the stream waited on its blocked worker")
+
+    previous = signal.signal(signal.SIGALRM, waited_too_long)
+    signal.alarm(20)
+    try:
+        stream.close()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert _no_child_process()
+
+
 def test_bounds_for_rule_same_at_one_and_two_cpus(cpus):
     ds = make_blobs(30, d=2, seed=4)
     spec = features.identity_spec(2, 2)
@@ -224,67 +284,6 @@ def test_killed_worker_exits_2_without_traceback(cpus, blob_csv, tmp_path,
     assert code == 2
     assert "worker process was killed by signal 9" in err
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("n,rows", [(1, 5), (2, 1), (2, 7), (3, 8)])
-def test_split_rows_covers_the_range_in_blocks(cpus, n, rows):
-    cpus(n)
-    blocks, threads = [], threading.active_count()
-    parallel.split_rows(lambda start, stop: blocks.append((start, stop)), rows)
-    assert sorted(blocks) == [(i * rows // len(blocks), (i + 1) * rows // len(blocks))
-                              for i in range(len(blocks))]
-    assert len(blocks) == min(n, rows, parallel.MAX_WORKERS)
-    assert threading.active_count() == threads
-
-
-def test_split_rows_joins_before_it_raises(cpus):
-    cpus(2)
-    finished = []
-
-    def block(start, stop):
-        if start == 0:
-            raise ValueError("first block failed")
-        time.sleep(0.2)
-        finished.append(start)
-
-    with pytest.raises(ValueError, match="first block failed"):
-        parallel.split_rows(block, 4)
-    assert finished == [2]  # the thread's block ran to its end first
-
-    def second_fails(start, stop):
-        if start > 0:
-            raise ValueError(f"block {start} failed")
-
-    with pytest.raises(ValueError, match="block 2 failed"):
-        parallel.split_rows(second_fails, 4)
-
-
-def test_split_rows_runs_inline_in_a_map_task_or_without_threads(cpus, monkeypatch):
-    cpus(2)
-    assert len(_block_threads()) == 2
-    monkeypatch.setattr(parallel, "_busy", True)
-    assert _block_threads() == {threading.get_ident()}
-    monkeypatch.setattr(parallel, "_busy", False)
-    monkeypatch.setattr(threading.Thread, "start", _no_thread)
-    assert _block_threads() == {threading.get_ident()}
-
-
-def _block_threads():
-    """The threads that ran the blocks of split_rows over 4 rows."""
-    seen, rows = set(), []
-
-    def block(start, stop):
-        seen.add(threading.get_ident())
-        rows.extend(range(start, stop))
-        time.sleep(0.05)  # so that one thread cannot run both blocks
-
-    parallel.split_rows(block, 4)
-    assert sorted(rows) == [0, 1, 2, 3]
-    return seen
-
-
-def _no_thread(self):
-    raise RuntimeError("can't start new thread")
 
 
 def test_train_and_predict_bytes_same_on_one_and_all_cpus(tmp_path):

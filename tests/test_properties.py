@@ -104,7 +104,7 @@ def test_streamed_predictions_match_library_per_chunk(model_path, tmp_path_facto
         scores = [classifier.batch_scores(model, X[start:start + chunk_rows])
                   for start in range(0, len(X), chunk_rows)]
         lines = ["label," + ",".join(f"p_{name}" for name in model.label_names)]
-        for labels, proba in classifier.rules_by_chunk(model, scores):
+        for labels, proba in (classifier.rule_from_scores(model, s) for s in scores):
             lines += [",".join([model.label_names[lab - 1], *map(repr, p)])
                       for lab, p in zip(labels, proba.tolist())]
         expected = "".join(line + "\r\n" for line in lines).encode()

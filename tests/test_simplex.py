@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrckit.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED,
+from mrckit.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, _distinct,
                             solve_standard_form)
 from mrckit.solver import solve_lp
 
@@ -124,6 +124,29 @@ def test_singular_warm_basis_falls_back_to_phase_one():
     assert warm.status == cold.status == OPTIMAL
     assert warm.pivots == cold.pivots
     assert np.array_equal(warm.x, cold.x)
+
+
+@pytest.mark.parametrize("basis", [[2, 2], [2, 4]],
+                         ids=["repeated-column", "two-units-on-a-row"])
+def test_repeated_warm_basis_falls_back_to_phase_one(basis):
+    # columns 2 and 4 are the unit columns e_1 and -e_1 of the same row
+    A = np.array([[1.0, 1.0, 1.0, 0.0, -1.0],
+                  [0.0, 1.0, 0.0, 1.0, 0.0]])
+    b = np.array([4.0, 2.0])
+    c = np.array([-1.0, -2.0, 0.0, 0.0, 1.0])
+    cold = solve_standard_form(c, A, b)
+    warm = solve_standard_form(c, A, b, basis=basis)
+    assert warm.status == cold.status == OPTIMAL
+    assert abs(warm.value + 6.0) < 1e-9
+    assert warm.pivots == cold.pivots
+    assert np.array_equal(warm.x, cold.x)
+
+
+def test_distinct_agrees_with_unique(rng):
+    for size in (0, 1, 2, 5, 40):
+        for _ in range(20):
+            a = rng.integers(0, 2 * size + 1, size=size)
+            assert _distinct(a) == (np.unique(a).size == a.size)
 
 
 def test_basis_is_returned_in_column_indices():
