@@ -266,10 +266,15 @@ def cmd_predict(args):
         csv.writer(text).writerows(zip(names[labels - 1].tolist(), *columns))
         return text.getvalue(), renormalized
 
+    def blocks():
+        return record_blocks(args.data, args.has_header, PREDICT_CHUNK_ROWS)
+
     # the blocks' texts come back in file order; the output is renamed into
     # place only once every row has been written
-    texts = parallel.ordered_stream(
-        rows_text, lambda: record_blocks(args.data, args.has_header, PREDICT_CHUNK_ROWS))
+    if os.path.isfile(args.data):  # each process opens and reads it for itself
+        texts = parallel.ordered_stream(rows_text, blocks)
+    else:  # a pipe or FIFO yields its bytes once, so one process reads it
+        texts = (rows_text(block) for block in blocks())
     try:
         with closing(texts), open(partial, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerow(head)

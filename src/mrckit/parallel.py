@@ -5,8 +5,9 @@ and raises what it raises, where it raises it. With W = min(number of
 tasks, usable CPUs, MAX_WORKERS) > 1 the calling process forks W - 1
 workers; task i runs in worker i mod W, the caller being worker 0. Each
 worker calls `tasks()` itself after the fork (a task iterator that reads a
-file opens its own copy) and runs `fn` on its own stripe only, so nothing
-is pickled on the way in. It pickles each outcome (a result, or the
+file opens its own copy, so `tasks()` must yield the same tasks at every
+call: a pipe, read once, does not) and runs `fn` on its own stripe only,
+so nothing is pickled on the way in. It pickles each outcome (a result, or the
 exception that stopped it) back through its pipe; the caller reads them
 in task order, and a full pipe holds the worker back until the caller
 catches up. Every task runs the same arithmetic wherever it runs, so the

@@ -369,6 +369,45 @@ def test_predict_bytes_same_at_one_and_two_cpus(tmp_path, monkeypatch, chunk_row
     assert written[0] == written[1]
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_predict_reads_a_named_pipe_once(tmp_path, monkeypatch):
+    save_csv(make_blobs(60, d=2, seed=0, sep=3.0), tmp_path / "train.csv")
+    out = str(tmp_path / "out")
+    assert run_cli("train", "--data", str(tmp_path / "train.csv"), "--out", out,
+                   "--D", "20", "--max-iters", "200", "--seed", "1") == 0
+    data = tmp_path / "test.csv"
+    save_csv(make_blobs(5000, d=2, seed=2), data)  # more than a pipe holds at once
+    fifo = tmp_path / "test.fifo"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", 7)
+    done = threading.Event()
+
+    def feed():
+        fifo.write_bytes(data.read_bytes())
+        while not done.wait(0.01):  # a second reader gets the pipe's end, not a hang
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader has the pipe open
+                pass
+
+    model = os.path.join(out, "model.json")
+    assert run_cli("predict", "--model", model, "--data", str(data), "--out",
+                   str(tmp_path / "file"), "--proba") == 0
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        code = run_cli("predict", "--model", model, "--data", str(fifo), "--out",
+                       str(tmp_path / "pipe"), "--proba")
+    finally:
+        done.set()
+        feeder.join(timeout=10)
+    assert code == 0
+    assert ((tmp_path / "pipe" / "predictions.csv").read_bytes()
+            == (tmp_path / "file" / "predictions.csv").read_bytes())
+    assert_no_child_process()
+
+
 def test_predict_dev_mode_closes_files(blob_csv, tmp_path):
     out = str(tmp_path / "out")
     run_cli(*train_args(blob_csv, out))
