@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__, classifier, estimate, features, objective, parallel
 from .dataset import (DataError, block_features, load_csv, load_features,
-                      record_blocks, stratified_folds, stratified_split)
+                      no_data_rows, record_blocks, stratified_folds,
+                      stratified_split)
 from .simplex import SimplexError
 from .solver import METHODS, SolverConfig, SolverError, lp_fits, solve
 
@@ -244,11 +245,20 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _csv_cell(name, alone):
+    """`name` as csv.writer writes it in a row, as the row's only field or
+    followed by others (a lone empty field is written as two quotes)."""
+    text = io.StringIO()
+    csv.writer(text).writerow([name] if alone else [name, ""])
+    return text.getvalue()[:-2 if alone else -3]  # less "\r\n" or ",\r\n"
+
+
 def cmd_predict(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = classifier.load_model(args.model)
-    names = np.array(model.label_names, dtype=object)
+    cells = np.array([_csv_cell(name, alone=not args.proba)
+                      for name in model.label_names], dtype=object)
     head = ["label"]
     if args.proba:
         head += [f"p_{name}" for name in model.label_names]
@@ -259,12 +269,15 @@ def cmd_predict(args):
         """One block's prediction rows as CSV text, and its count of
         renormalized rule rows."""
         X = block_features(args.data, block, model.feature_spec.d)
+        if not len(X):  # a block of blank lines
+            return "", 0
         labels, proba, renormalized = classifier.rule_rows(
             model, classifier.batch_scores(model, X))
-        columns = proba.T.tolist() if args.proba else ()
-        text = io.StringIO()
-        csv.writer(text).writerows(zip(names[labels - 1].tolist(), *columns))
-        return text.getvalue(), renormalized
+        # csv.writer writes a float as its repr
+        columns = ([list(map(repr, col)) for col in proba.T.tolist()]
+                   if args.proba else ())
+        rows = map(",".join, zip(cells[labels - 1].tolist(), *columns))
+        return "\r\n".join(rows) + "\r\n", renormalized
 
     def blocks():
         return record_blocks(args.data, args.has_header, PREDICT_CHUNK_ROWS)
@@ -279,9 +292,13 @@ def cmd_predict(args):
         with closing(texts), open(partial, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerow(head)
             renormalized = 0
+            empty = True
             for text, count in texts:
                 fh.write(text)
                 renormalized += count
+                empty = empty and not text
+        if empty:
+            raise no_data_rows(args.data)
         classifier.warn_renormalized(renormalized)
         os.replace(partial, out_path)
     except BaseException:

@@ -5,12 +5,22 @@ skipped), optional header row, all columns but the last are finite reals,
 the last column is the label (string or integer).
 Labels are encoded to 1..K in first-appearance order; the original names are
 kept so predictions can be reported in the input vocabulary.
+
+Files are read in blocks of CSV records (`record_blocks`). A block is cut as
+raw text lines, without tokenising, unless a quote shows; so a process can
+cut a whole file cheaply and read only the blocks it owns. `load_csv` reads
+every block with csv.reader and float(). `block_features` reads a block of
+plain numbers with numpy's C reader (`np.loadtxt`), and any other block the
+way `load_csv` does, which names the first bad cell by its record number
+and column. Both readers convert a cell with CPython's
+PyOS_string_to_double, so a number reads to the same bits in either.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -54,35 +64,75 @@ class NormalizationStats:
 # Rows read and converted at a time when a whole file is loaded.
 LOAD_CHUNK_ROWS = 8192
 
+# A block holding one of these is read by csv.reader and float(): np.loadtxt
+# reads no quotes, and it strips \x1c-\x1f around a number, where float()
+# rejects the cell.
+_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
+
+
+def no_data_rows(path):
+    """The DataError for an input that holds no data rows."""
+    return DataError(f"{path}: no data rows")
+
 
 def record_blocks(path, has_header, chunk_rows):
-    """(line numbers, rows) of successive blocks of at most chunk_rows
-    non-blank data rows; line numbers count CSV records from 1. A UTF-8
-    byte-order mark is skipped. Raises DataError when there are no data rows.
+    """(first record number, text lines) of successive blocks of chunk_rows
+    CSV records, the last of which may hold fewer; records count from 1,
+    blank ones included. A UTF-8 byte-order mark is skipped.
+
+    The lines are not tokenised, so a process can cut the whole file and
+    read only the blocks it owns: every process that cuts the same bytes
+    cuts the same blocks.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        start = 1
+        first = 1
         if has_header:
-            next(reader, None)
-            start = 2
-        empty = True
-        while rows := list(islice(reader, chunk_rows)):
-            lines = range(start, start + len(rows))
-            start += len(rows)
-            if min(map(len, rows)) <= 1:  # blank lines read as [] or [' ']
-                kept = [(line, row) for line, row in zip(lines, rows)
-                        if len(row) > 1 or (row and row[0].strip())]
-                if not kept:
-                    continue
-                lines, rows = zip(*kept)
-            empty = False
-            yield lines, rows
-    if empty:
-        raise DataError(f"{path}: no data rows")
+            first += _cut(fh, 1)[0]
+        while True:
+            count, lines = _cut(fh, chunk_rows)
+            if not lines:
+                return
+            yield first, lines
+            first += count
 
 
-def _features(path, lines, rows, ncols, width, expected):
+def _cut(fh, records):
+    """(record count, text lines) of the next `records` CSV records of fh.
+
+    A line is a record unless a quote shows: then csv.reader counts the
+    records, and reads on while a quoted field holds a line end, so that a
+    record is never split between blocks.
+    """
+    lines = list(islice(fh, records))
+    if '"' not in "".join(lines):
+        return len(lines), lines
+    more = []
+
+    def read_on():
+        for line in fh:
+            more.append(line)
+            yield line
+
+    count = sum(1 for _ in islice(csv.reader(chain(lines, read_on())), records))
+    return count, lines + more
+
+
+def _block_rows(block):
+    """(record numbers, rows) of the non-blank records of one block of
+    record_blocks, tokenised by csv.reader."""
+    first, lines = block
+    rows = list(csv.reader(lines))
+    numbers = range(first, first + len(rows))
+    if min(map(len, rows)) <= 1:  # blank lines read as [] or [' ']
+        kept = [(number, row) for number, row in zip(numbers, rows)
+                if len(row) > 1 or (row and row[0].strip())]
+        if not kept:
+            return (), ()
+        numbers, rows = zip(*kept)
+    return numbers, rows
+
+
+def _features(path, numbers, rows, ncols, width, expected):
     """The first `width` cells of each row as a finite (len(rows), width) array.
 
     Every row must have a column count in `ncols`; the first that does not
@@ -90,13 +140,13 @@ def _features(path, lines, rows, ncols, width, expected):
     so that the first fault in the file is the one named. Every cell goes
     through one map(float, ...); only a block holding an unparseable or
     non-finite cell is scanned again, cell by cell, to name the first such
-    cell by its row and column.
+    cell by its record number and column.
     """
     widths = set(map(len, rows))
     if not widths <= set(ncols):
         k = next(i for i, row in enumerate(rows) if len(row) not in ncols)
-        _features(path, lines[:k], rows[:k], ncols, width, expected)
-        raise DataError(f"{path}: row {lines[k]} has {len(rows[k])} columns{expected}")
+        _features(path, numbers[:k], rows[:k], ncols, width, expected)
+        raise DataError(f"{path}: row {numbers[k]} has {len(rows[k])} columns{expected}")
     if widths == {width, width + 1}:  # some rows carry a label
         cells = list(chain.from_iterable(row[:width] for row in rows))
     else:
@@ -108,18 +158,18 @@ def _features(path, lines, rows, ncols, width, expected):
     except ValueError:
         X = None
     if X is None or not np.isfinite(X).all():
-        for line_num, row in zip(lines, rows):
+        for number, row in zip(numbers, rows):
             for j, cell in enumerate(row[:width]):
                 try:
                     v = float(cell)
                 except ValueError:
                     raise DataError(
-                        f"{path}: row {line_num}, column {j + 1}: "
+                        f"{path}: row {number}, column {j + 1}: "
                         f"cannot parse {cell.strip()!r} as a real number"
                     ) from None
                 if not math.isfinite(v):
                     raise DataError(
-                        f"{path}: row {line_num}, column {j + 1}: "
+                        f"{path}: row {number}, column {j + 1}: "
                         f"non-finite value {cell.strip()!r}"
                     )
     return X
@@ -134,17 +184,22 @@ def load_csv(path, has_header=False):
     width = None
     blocks = []
     labels_raw = []
-    for lines, rows in record_blocks(path, has_header, LOAD_CHUNK_ROWS):
+    for block in record_blocks(path, has_header, LOAD_CHUNK_ROWS):
+        numbers, rows = _block_rows(block)
+        if not rows:
+            continue
         if width is None:
             width = len(rows[0])
             if width < 2:
                 raise DataError(
-                    f"{path}: row {lines[0]} has {width} columns; "
+                    f"{path}: row {numbers[0]} has {width} columns; "
                     "need at least one feature column plus the label"
                 )
-        blocks.append(_features(path, lines, rows, (width,), width - 1,
+        blocks.append(_features(path, numbers, rows, (width,), width - 1,
                                 f", expected {width}"))
         labels_raw.extend(row[-1].strip() for row in rows)
+    if width is None:
+        raise no_data_rows(path)
 
     names = []
     seen = {}
@@ -161,19 +216,38 @@ def load_csv(path, has_header=False):
 
 
 def block_features(path, block, d):
-    """The feature matrix of one (line numbers, rows) block of record_blocks.
+    """The (non-blank records, d) feature matrix of one block of record_blocks.
 
     Rows hold d feature columns, optionally followed by a label column that
-    is ignored. Cells are parsed and checked as in load_csv.
+    is ignored. np.loadtxt reads a block of d plain numbers per line; any
+    other block (a label column, quotes, blank lines, a bad cell, or one
+    that only float() reads) is read and checked as in load_csv.
     """
-    lines, rows = block
-    return _features(path, lines, rows, (d, d + 1), d, f"; model expects {d} features")
+    _, lines = block
+    text = "".join(lines)
+    if not any(c in text for c in _CSV_ONLY):  # one line per record
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # "input contained no data"
+                X = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a cell or a column count that it cannot read
+            X = None
+        # loadtxt skips blank lines, which the shape check sends to csv.reader
+        if X is not None and X.shape == (len(lines), d) and np.isfinite(X).all():
+            return X
+    numbers, rows = _block_rows(block)
+    if not rows:
+        return np.empty((0, d))
+    return _features(path, numbers, rows, (d, d + 1), d, f"; model expects {d} features")
 
 
 def load_features(path, d, has_header=False):
     """Load the (n, d) feature matrix of a CSV file (see block_features)."""
-    return np.concatenate([block_features(path, block, d) for block
-                           in record_blocks(path, has_header, LOAD_CHUNK_ROWS)])
+    blocks = [block_features(path, block, d) for block
+              in record_blocks(path, has_header, LOAD_CHUNK_ROWS)]
+    if not sum(map(len, blocks)):
+        raise no_data_rows(path)
+    return np.concatenate(blocks)
 
 
 def save_csv(dataset, path, header=None):

@@ -1,10 +1,13 @@
 import csv
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
 import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,7 +232,7 @@ def test_predict_same_output_with_or_without_labels(blob_csv, tmp_path):
 def test_byte_order_mark_accepted(blob_csv, tmp_path):
     # Excel's "CSV UTF-8" starts the file with a byte-order mark
     bom = tmp_path / "bom.csv"
-    bom.write_bytes("\ufeff".encode() + open(blob_csv, "rb").read())
+    bom.write_bytes("\ufeff".encode() + Path(blob_csv).read_bytes())
     models, predictions = set(), set()
     for tag, path in (("plain", blob_csv), ("bom", str(bom))):
         out = tmp_path / f"model_{tag}"
@@ -405,6 +408,121 @@ def test_predict_reads_a_named_pipe_once(tmp_path, monkeypatch):
     assert code == 0
     assert ((tmp_path / "pipe" / "predictions.csv").read_bytes()
             == (tmp_path / "file" / "predictions.csv").read_bytes())
+    assert_no_child_process()
+
+
+def test_predict_label_cells_match_csv_writer(tmp_path):
+    names = ("a,b", 'say "hi"', "two\nlines", "")  # "" from a blank label cell
+    ds = make_blobs(80, d=2, num_classes=4, sep=6.0, seed=3)
+    train = tmp_path / "train.csv"
+    with open(train, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([*map(repr, x), names[y - 1]]
+                                 for x, y in zip(ds.instances.tolist(), ds.labels))
+    out = tmp_path / "out"
+    assert run_cli("train", "--data", str(train), "--out", str(out), "--features",
+                   "identity", "--solver", "asm", "--max-iters", "200",
+                   "--seed", "1") == 0
+    model = classifier.load_model(str(out / "model.json"))
+    assert model.label_names == names
+    labels, proba = classifier.rule_from_scores(
+        model, classifier.batch_scores(model, ds.instances))
+    assert set(labels.tolist()) == {1, 2, 3, 4}
+    for flags in ([], ["--proba"]):
+        head = ["label", *(f"p_{name}" for name in names)] if flags else ["label"]
+        expected = io.StringIO()
+        csv.writer(expected).writerows(
+            [head, *([names[lab - 1], *(p if flags else [])]
+                     for lab, p in zip(labels.tolist(), proba.tolist()))])
+        pred = tmp_path / f"pred{len(flags)}"
+        assert run_cli("predict", "--model", str(out / "model.json"), "--data",
+                       str(train), "--out", str(pred), *flags) == 0
+        assert (pred / "predictions.csv").read_bytes() == expected.getvalue().encode()
+
+
+def irregular_csv(X, bad_row=None):
+    """The feature rows X as CSV records in blocks of 7, and the record number
+    of data row `bad_row`, whose second cell is 'abc'.
+
+    Line ends go round \\n, \\r\\n and \\r; row 2 carries a label; row 3's
+    numbers are quoted; rows 7 and 14, the last of their blocks, carry a
+    quoted label that holds a line end; 7 blank records follow row 14 and 4
+    end the file. The blank records fill whole blocks or end the last one,
+    so each block holds the rows that a plain file's block does.
+    """
+    records, bad_record = [], None
+    for i, (a, b) in enumerate(X, start=1):
+        cells = [repr(a), "abc" if i == bad_row else repr(b)]
+        if i == bad_row:
+            bad_record = len(records) + 1
+        if i == 2:
+            cells.append("lab")
+        if i == 3:
+            cells = [f'"{cell}"' for cell in cells]
+        if i in (7, 14):
+            cells.append('"two\nlines"')
+        records.append(",".join(cells))
+        if i == 14:
+            records += [""] * 7
+    records += ["", " ", "", ""]
+    ends = ("\n", "\r\n", "\r")
+    # a blank record ends with \r\n, so that no \r before it joins its \n
+    text = "".join(r + (ends[k % 3] if r else "\r\n") for k, r in enumerate(records))
+    return text, bad_record
+
+
+def test_predict_irregular_records_across_blocks(blob_csv, tmp_path, monkeypatch,
+                                                 capsys):
+    out = str(tmp_path / "out")
+    run_cli(*train_args(blob_csv, out))
+    model = os.path.join(out, "model.json")
+    monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", 7)
+    X = make_blobs(24, d=2, seed=4).instances.tolist()
+    plain = tmp_path / "plain.csv"
+    plain.write_text("".join(f"{a!r},{b!r}\n" for a, b in X))
+    assert run_cli("predict", "--model", model, "--data", str(plain), "--out",
+                   str(tmp_path / "plain"), "--proba") == 0
+    expected = (tmp_path / "plain" / "predictions.csv").read_bytes()
+    odd = tmp_path / "odd.csv"
+    text, _ = irregular_csv(X)
+    odd.write_bytes(text.encode())
+    bad = tmp_path / "bad.csv"
+    text, bad_record = irregular_csv(X, bad_row=17)
+    bad.write_bytes(text.encode())
+    assert bad_record == 24  # on line 26: rows 7 and 14 span two lines each
+    for n in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # also in the forked worker
+            assert run_cli("predict", "--model", model, "--data", str(odd), "--out",
+                           str(tmp_path / f"odd{n}"), "--proba") == 0
+            assert (tmp_path / f"odd{n}" / "predictions.csv").read_bytes() == expected
+            capsys.readouterr()
+            assert run_cli("predict", "--model", model, "--data", str(bad), "--out",
+                           str(tmp_path / f"bad{n}"), "--proba") == 1
+        assert (capsys.readouterr().err
+                == f"error: {bad}: row 24, column 2: cannot parse 'abc' as a real number\n")
+        assert os.listdir(tmp_path / f"bad{n}") == []
+        assert_no_child_process()
+
+
+@pytest.mark.parametrize("text,flags", [("", []), ("\n\r\n" * 9 + " \n", []),
+                                        ("f1,f2\n", ["--has-header"])],
+                         ids=["empty", "blank-lines", "header-only"])
+def test_predict_no_data_rows(blob_csv, tmp_path, monkeypatch, capsys, text, flags):
+    out = str(tmp_path / "out")
+    run_cli(*train_args(blob_csv, out))
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", 7)
+    data = tmp_path / "data.csv"
+    data.write_bytes(text.encode())
+    pred = tmp_path / "pred"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # also in the forked worker
+        assert run_cli("predict", "--model", os.path.join(out, "model.json"), "--data",
+                       str(data), "--out", str(pred), "--proba", *flags) == 1
+    assert capsys.readouterr().err == f"error: {data}: no data rows\n"
+    assert os.listdir(pred) == []  # no predictions.csv and no partial file
     assert_no_child_process()
 
 

@@ -53,6 +53,20 @@ def test_byte_order_mark_skipped(tmp_path):
     assert np.array_equal(load_features(bom, 2), load_features(plain, 2))
 
 
+@pytest.mark.parametrize("cell,value", [
+    ("1_0", 10.0), ("\u0661", 1.0), (" 2.5\t", 2.5), ("+.5e1", 5.0),
+    ("1\x1c", None), ("1\x1f", None), ("0x10", None), ("", None)])
+def test_features_read_as_float_reads_them(tmp_path, cell, value):
+    # np.loadtxt rejects underscores and non-ASCII digits, which float()
+    # reads, and strips \x1c-\x1f around a number, where float() fails
+    path = write(tmp_path, f"1.0,{cell}\n3.0,4.0\n")
+    if value is None:
+        with pytest.raises(DataError, match=r"row 1, column 2: cannot parse"):
+            load_features(path, 2)
+    else:
+        assert load_features(path, 2).tolist() == [[1.0, value], [3.0, 4.0]]
+
+
 def test_empty_file_rejected(tmp_path):
     path = write(tmp_path, "")
     with pytest.raises(DataError, match="no data rows"):
