@@ -1,16 +1,16 @@
 """Command-line front end: train, predict, bounds, sweeps, and benchmarks.
 
-All commands are deterministic given their inputs and --seed; child seeds
-are derived from the master seed with a stable counter. Reports are JSON,
-tables are CSV. Exit codes: 0 success, 1 input error, 2 numerical/solver
-error.
+Each command takes only the flags it reads. All commands are deterministic
+given their inputs and --seed; child seeds are derived from the master seed
+with a stable counter. Reports are JSON, tables are CSV. Exit codes: 0
+success, 1 input error, 2 numerical/solver error or a usage error (argparse
+exits 2 on an unknown flag or a bad value).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classifier, estimate, features, objective, parallel
-from .dataset import (DataError, block_features, load_csv, load_features,
-                      no_data_rows, record_blocks, stratified_folds,
-                      stratified_split)
+from .dataset import (DataError, apply_normalizer, block_features,
+                      fit_normalizer, load_csv, load_features, no_data_rows,
+                      record_blocks, stratified_folds, stratified_split)
 from .simplex import SimplexError
 from .solver import METHODS, SolverConfig, SolverError, lp_fits, solve
 
@@ -44,6 +44,38 @@ def child_seed(master, counter):
     return [int(master), int(counter)]
 
 
+# One definition per flag; each command adds exactly the flags it reads.
+FLAGS = {
+    "--data": dict(required=True, help="CSV file, label in the last column"),
+    "--has-header": dict(action="store_true"),
+    "--model": dict(required=True, help="model.json written by train"),
+    "--features": dict(choices=["rff", "identity"], default="rff"),
+    "--D": dict(type=int, default=500, help="number of random frequencies"),
+    "--sigma": dict(type=float, default=None,
+                    help="kernel scale (default sqrt(d/2))"),
+    "--rff-seed": dict(type=int, default=None,
+                       help="frequency seed (default: derived from --seed)"),
+    "--lambda-mode": dict(default="practical",
+                          choices=["hoeffding", "bernstein", "rademacher", "practical"]),
+    "--lambda0": dict(type=float, default=0.3),
+    "--delta": dict(type=float, default=0.05),
+    "--rademacher-R": dict(dest="rademacher_R", type=float, default=None),
+    "--solver": dict(default="easm-restart", choices=SOLVER_CHOICES,
+                     help="train defaults to asm for the fixed-marginal variant; "
+                          "bounds to lp when the bound problems fit it"),
+    "--max-iters": dict(type=int, default=200_000),
+    "--restart-period": dict(type=int, default=10_000),
+    "--anchor": dict(default="train",
+                     help="'train' or 'file:<path>' with extra instances"),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(required=True, help="output directory"),
+}
+
+FEATURE_FLAGS = ("--features", "--D", "--sigma", "--rff-seed")
+WIDTH_FLAGS = ("--lambda-mode", "--lambda0", "--delta", "--rademacher-R")
+SOLVER_FLAGS = ("--solver", "--max-iters", "--restart-period")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mrckit",
@@ -53,78 +85,61 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--data", required=True, help="CSV file, label in the last column")
-        p.add_argument("--has-header", action="store_true")
-        p.add_argument("--features", choices=["rff", "identity"], default="rff")
-        p.add_argument("--D", type=int, default=500, help="number of random frequencies")
-        p.add_argument("--sigma", type=float, default=None,
-                       help="kernel scale (default sqrt(d/2))")
-        p.add_argument("--rff-seed", type=int, default=None,
-                       help="frequency seed (default: derived from --seed)")
-        p.add_argument("--lambda-mode", dest="lambda_mode", default="practical",
-                       choices=["hoeffding", "bernstein", "rademacher", "practical"])
-        p.add_argument("--lambda0", type=float, default=0.3)
-        p.add_argument("--delta", type=float, default=0.05)
-        p.add_argument("--rademacher-R", dest="rademacher_R", type=float, default=None)
-        p.add_argument("--solver", default="easm-restart", choices=SOLVER_CHOICES)
-        p.add_argument("--max-iters", type=int, default=200_000)
-        p.add_argument("--restart-period", type=int, default=10_000)
-        p.add_argument("--anchor", default="train",
-                       help="'train' or 'file:<path>' with extra instances")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", required=True, help="output directory")
+    def command(name, summary, *flags):
+        # no abbreviations: a removed flag must not be read as a longer one
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        return p
 
-    p_train = sub.add_parser("train", help="learn a model and certify its bounds")
-    add_common(p_train)
+    p_train = command("train", "learn a model and certify its bounds",
+                      "--data", "--has-header", *FEATURE_FLAGS, *WIDTH_FLAGS,
+                      *SOLVER_FLAGS, "--anchor", "--seed", "--out")
     p_train.add_argument("--variant", choices=["standard", "fixed-marginal"],
                          default="standard")
     p_train.add_argument("--repair", choices=["auto", "always", "never"],
                          default="auto")
     p_train.add_argument("--trace-every", type=int, default=100)
-    # without --solver, train picks the solver from the variant
+    # without --solver, solver.solve picks the method from the variant
     p_train.set_defaults(solver=None)
 
-    p_pred = sub.add_parser("predict", help="predict labels with a saved model")
-    p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--data", required=True)
-    p_pred.add_argument("--has-header", action="store_true")
+    p_pred = command("predict", "predict labels with a saved model",
+                     "--model", "--data", "--has-header", "--out")
     p_pred.add_argument("--proba", action="store_true", help="also emit probabilities")
-    p_pred.add_argument("--out", required=True)
 
-    p_bounds = sub.add_parser("bounds", help="report certified bounds of a model")
-    p_bounds.add_argument("--model", required=True)
+    p_bounds = command("bounds", "report certified bounds of a model",
+                       "--model", "--delta", *SOLVER_FLAGS, "--out")
     p_bounds.add_argument("--deterministic", action="store_true",
                           help="also bound the deterministic rule")
-    p_bounds.add_argument("--lambda-delta-add", type=float, default=None,
-                          help="high-confidence interval with lambda_delta = lambda + c")
-    p_bounds.add_argument("--lambda-delta-mode", choices=["hoeffding"], default=None,
-                          help="derive lambda_delta from the stored provenance")
-    p_bounds.add_argument("--delta", type=float, default=0.05)
-    p_bounds.add_argument("--solver", default=None, choices=SOLVER_CHOICES,
-                          help="default: lp when the bound problems fit it, "
-                               "else easm-restart")
-    p_bounds.add_argument("--max-iters", type=int, default=200_000)
-    p_bounds.add_argument("--restart-period", type=int, default=10_000)
-    p_bounds.add_argument("--out", required=True)
+    width = p_bounds.add_mutually_exclusive_group()
+    width.add_argument("--lambda-delta-add", type=float, default=None,
+                       help="high-confidence interval with lambda_delta = lambda + c")
+    width.add_argument("--lambda-delta-mode", choices=["hoeffding"], default=None,
+                       help="derive lambda_delta from the stored provenance")
+    # without --solver, the size of the bound problems picks it
+    p_bounds.set_defaults(solver=None)
 
-    p_sweep = sub.add_parser("sweep-lambda", help="bounds and errors along a lambda0 grid")
-    add_common(p_sweep)
+    p_sweep = command("sweep-lambda", "bounds and errors along a lambda0 grid",
+                      "--data", "--has-header", *FEATURE_FLAGS, *SOLVER_FLAGS,
+                      "--seed", "--out")
     p_sweep.add_argument("--lambda0-grid", required=True,
                          help="comma-separated lambda0 values")
     p_sweep.add_argument("--folds", type=int, default=10)
 
-    p_red = sub.add_parser("reduce-study", help="bound error versus anchor-pool size")
-    add_common(p_red)
+    p_red = command("reduce-study", "bound error versus anchor-pool size",
+                    "--data", "--has-header", *FEATURE_FLAGS, *WIDTH_FLAGS,
+                    *SOLVER_FLAGS, "--anchor", "--seed", "--out")
     p_red.add_argument("--sizes", required=True, help="comma-separated pool sizes")
     p_red.add_argument("--reps", type=int, default=10)
 
-    p_bench = sub.add_parser("bench-solvers", help="trace every method on one problem")
-    add_common(p_bench)
+    p_bench = command("bench-solvers", "trace every method on one problem",
+                      "--data", "--has-header", *FEATURE_FLAGS, *WIDTH_FLAGS,
+                      "--max-iters", "--restart-period", "--seed", "--out")
     p_bench.add_argument("--trace-every", type=int, default=1)
 
-    p_sel = sub.add_parser("model-select", help="pick the kernel scale by the upper bound")
-    add_common(p_sel)
+    p_sel = command("model-select", "pick the kernel scale by the upper bound",
+                    "--data", "--has-header", "--D", "--rff-seed", *WIDTH_FLAGS,
+                    *SOLVER_FLAGS, "--seed", "--out")
     p_sel.add_argument("--sigma-grid", default=None,
                        help="comma-separated scales (default: 20 between the "
                             "10th/90th distance percentiles)")
@@ -133,6 +148,7 @@ def build_parser():
     p_sel.add_argument("--select-max-iters", type=int, default=20_000)
     p_sel.add_argument("--select-anchor-size", type=int, default=400,
                        help="anchor subsample used during selection (0 = full)")
+    p_sel.set_defaults(features="rff")  # it tunes the kernel scale
 
     return parser
 
@@ -150,12 +166,11 @@ def _spec_from_args(args, data, seed_counter=0, sigma=None):
 
 
 def _solver_config_from_args(args, **overrides):
-    cfg = SolverConfig(
-        method=args.solver.replace("-", "_"),
-        max_iters=args.max_iters,
-        restart_period=args.restart_period,
-    )
-    return dataclasses.replace(cfg, **overrides)
+    """The SolverConfig of the flags; without a method, solver.solve picks one."""
+    fields = {"max_iters": args.max_iters, "restart_period": args.restart_period}
+    if "method" not in overrides and args.solver is not None:
+        fields["method"] = args.solver.replace("-", "_")
+    return SolverConfig(**{**fields, **overrides})
 
 
 def _uncertainty_args(args, **overrides):
@@ -207,8 +222,6 @@ def _write_trace_csv(path, trace):
 
 
 def cmd_train(args):
-    if args.solver is None:  # E-ASM and the LP need a max over rows
-        args.solver = "asm" if args.variant == "fixed-marginal" else "easm-restart"
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = load_csv(args.data, has_header=args.has_header)
@@ -220,6 +233,7 @@ def cmd_train(args):
         anchor=_anchor_from_args(args, data.d),
         variant=args.variant.replace("-", "_"), repair=args.repair,
     )
+    args.solver = model.solver_info["method"].replace("_", "-")  # the one that ran
     model_path = out_dir / "model.json"
     classifier.save_model(model, model_path)
 
@@ -380,10 +394,9 @@ def cmd_sweep_lambda(args):
             train_set = data.subset(train_rows)
             spec = _spec_from_args(args, data, seed_counter=1 + gi * len(folds) + fi)
             cfg = _solver_config_from_args(args)
-            # the sweep is over lambda0, so the practical width is forced
-            model = classifier.train(
-                train_set, spec, solver_config=cfg,
-                **_uncertainty_args(args, lambda_mode="practical", lambda0=lam0))
+            # the sweep is over lambda0 of the practical width
+            model = classifier.train(train_set, spec, solver_config=cfg,
+                                     lambda_mode="practical", lambda0=lam0)
             metrics = classifier.evaluate(model, test)
             acc["upper"].append(model.minimax_risk)
             acc["lower"].append(model.lower_bound)
@@ -496,8 +509,6 @@ def cmd_model_select(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = load_csv(args.data, has_header=args.has_header)
-    if args.features != "rff":
-        raise DataError("model-select tunes the kernel scale; use --features rff")
 
     def split_result(split_i):
         train_set, test_set = stratified_split(
@@ -551,10 +562,7 @@ def cmd_model_select(args):
 def _sigma_grid(args, train_set, split_i):
     if args.sigma_grid is not None:
         return _parse_grid(args.sigma_grid, float)
-    X = train_set.instances
-    mean = X.mean(axis=0)
-    std = np.where(X.std(axis=0) > 0, X.std(axis=0), 1.0)
-    Xn = (X - mean) / std
+    Xn = apply_normalizer(fit_normalizer(train_set), train_set).instances
     if Xn.shape[0] > 1500:
         rng = np.random.default_rng(child_seed(args.seed, 90_000 + split_i))
         Xn = Xn[rng.choice(Xn.shape[0], size=1500, replace=False)]

@@ -87,17 +87,18 @@ def record_blocks(path, has_header, chunk_rows):
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         first = 1
         if has_header:
-            first += _cut(fh, 1)[0]
+            first += _cut(path, fh, first, 1)[0]
         while True:
-            count, lines = _cut(fh, chunk_rows)
+            count, lines = _cut(path, fh, first, chunk_rows)
             if not lines:
                 return
             yield first, lines
             first += count
 
 
-def _cut(fh, records):
-    """(record count, text lines) of the next `records` CSV records of fh.
+def _cut(path, fh, first, records):
+    """(record count, text lines) of the next `records` CSV records of fh,
+    the first of which is record number `first`.
 
     A line is a record unless a quote shows: then csv.reader counts the
     records, and reads on while a quoted field holds a line end, so that a
@@ -113,15 +114,27 @@ def _cut(fh, records):
             more.append(line)
             yield line
 
-    count = sum(1 for _ in islice(csv.reader(chain(lines, read_on())), records))
-    return count, lines + more
+    rows = islice(_csv_records(path, first, chain(lines, read_on())), records)
+    return sum(1 for _ in rows), lines + more
 
 
-def _block_rows(block):
+def _csv_records(path, first, lines):
+    """csv.reader's records of `lines`, the first numbered `first`; a cell
+    over csv's field size limit raises DataError naming its record."""
+    number = first
+    try:
+        for row in csv.reader(lines):
+            yield row
+            number += 1
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {number}: {exc}") from None
+
+
+def _block_rows(path, block):
     """(record numbers, rows) of the non-blank records of one block of
     record_blocks, tokenised by csv.reader."""
     first, lines = block
-    rows = list(csv.reader(lines))
+    rows = list(_csv_records(path, first, lines))
     numbers = range(first, first + len(rows))
     if min(map(len, rows)) <= 1:  # blank lines read as [] or [' ']
         kept = [(number, row) for number, row in zip(numbers, rows)
@@ -185,7 +198,7 @@ def load_csv(path, has_header=False):
     blocks = []
     labels_raw = []
     for block in record_blocks(path, has_header, LOAD_CHUNK_ROWS):
-        numbers, rows = _block_rows(block)
+        numbers, rows = _block_rows(path, block)
         if not rows:
             continue
         if width is None:
@@ -235,7 +248,7 @@ def block_features(path, block, d):
         # loadtxt skips blank lines, which the shape check sends to csv.reader
         if X is not None and X.shape == (len(lines), d) and np.isfinite(X).all():
             return X
-    numbers, rows = _block_rows(block)
+    numbers, rows = _block_rows(path, block)
     if not rows:
         return np.empty((0, d))
     return _features(path, numbers, rows, (d, d + 1), d, f"; model expects {d} features")

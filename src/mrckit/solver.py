@@ -58,7 +58,7 @@ EASM_BUDGET_BYTES = 2 << 30  # refuse G = psi psi^T beyond this
 
 @dataclass
 class SolverConfig:
-    method: str = "easm_restart"       # one of METHODS
+    method: str | None = None          # one of METHODS; None: solve picks
     max_iters: int = 200_000
     restart_period: int = 10_000
     record_trace: bool = False
@@ -89,12 +89,17 @@ def subgradient(problem, mu):
 
 
 def solve(problem, config):
-    """Minimize `problem` with config.method, one of METHODS."""
-    if config.method == "lp":
+    """Minimize `problem` with config.method, one of METHODS. A method of
+    None is asm on an averaged problem (E-ASM and the LP need a max over
+    rows) and easm_restart otherwise."""
+    method = config.method
+    if method is None:
+        method = "asm" if problem.average else "easm_restart"
+    if method == "lp":
         return solve_lp(problem, config)
-    if config.method not in METHODS:
-        raise SolverError(f"unknown solver method {config.method!r}")
-    return _solve_accelerated(problem, config, config.method)
+    if method not in METHODS:
+        raise SolverError(f"unknown solver method {method!r}")
+    return _solve_accelerated(problem, config, method)
 
 
 def lp_fits(problem):
