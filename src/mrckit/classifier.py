@@ -19,8 +19,8 @@ import numpy as np
 
 from . import estimate, features, objective, parallel
 from .dataset import NormalizationStats, apply_normalizer, fit_normalizer
-from .solver import (SolverConfig, UnboundedObjectiveError, DivergenceError,
-                     solve)
+from .solver import (FLOOR_TOLERANCE, SolverConfig, UnboundedObjectiveError,
+                     DivergenceError, solve)
 
 log = logging.getLogger(__name__)
 
@@ -188,6 +188,7 @@ def fit(uncertainty, anchor, psi, spec, solver_config, *, variant="standard",
             objective.build_upper_bound_problem(unc, psi, h))
         low_run = solve(low_problem, solver_config)
         model.raw_bounds["lower"] = low_problem.reported_value(low_run.best_value)
+        _check_order(model.raw_bounds["lower"], run.best_value)
         model.lower_bound = _clamp(model.raw_bounds["lower"])
         model.mu_lower = low_run.best_mu
         model.solver_info["lower_certificate"] = low_run.certificate
@@ -226,6 +227,16 @@ def _solve_learning(unc, psi, num_classes, solver_config, variant, repair):
         problem = build(unc)
         run = solve(problem, solver_config)
     return unc, run, problem, notices
+
+
+def _check_order(lower_raw, upper_raw):
+    """Refuse a raw lower bound above the raw upper bound: on a nonempty
+    uncertainty set the rule's best-case risk is at most its worst-case
+    risk, and each bound is on its side of it, however inexact the solve."""
+    if lower_raw > upper_raw + FLOOR_TOLERANCE:
+        raise UnboundedObjectiveError(
+            f"lower bound {lower_raw:.6g} exceeds upper bound {upper_raw:.6g}: "
+            "the uncertainty set restricted to the instance pool is empty")
 
 
 def _repair(unc, psi, num_classes):
@@ -358,6 +369,7 @@ def rule_bounds(uncertainty, psi, h, solver_config=None):
         lambda problem: solve(problem, solver_config), [low, high])
     lower_raw = low.reported_value(low_run.best_value)
     upper_raw = high_run.best_value
+    _check_order(lower_raw, upper_raw)
     return RuleBounds(
         lower=_clamp(lower_raw), upper=_clamp(upper_raw),
         lower_raw=lower_raw, upper_raw=upper_raw,

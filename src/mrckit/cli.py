@@ -31,10 +31,15 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 
-# `predict` maps, scores and formats this many rows at a time, so its memory
+# `predict` reads, scores and formats this many rows at a time, so its memory
 # does not grow with the input; the blocks are striped over parallel's
-# workers.
+# workers. Within a block, features.score_matrix bounds the feature memory,
+# so that it does not grow with the number of random features either.
 PREDICT_CHUNK_ROWS = 2048
+
+# Linux carries the launching process's ru_maxrss across exec, so a
+# process's own peak is read from here (ru_maxrss only where it is absent).
+PROC_STATUS = "/proc/self/status"
 
 SOLVER_CHOICES = [method.replace("_", "-") for method in METHODS]
 
@@ -212,6 +217,28 @@ def _report_base(args):
     }
 
 
+def _peak_rss_mb(children=False):
+    """Peak resident memory of this process in MB (VmHWM), or with
+    `children` the larger of that and the peak of any child waited for;
+    None where neither /proc nor the resource module is there."""
+    try:
+        with open(PROC_STATUS, "rb") as fh:
+            peaks = [int(line.split()[1]) / 1024.0 for line in fh
+                     if line.startswith(b"VmHWM:")]
+    except OSError:
+        peaks = []
+    try:
+        import resource  # here, so that no command start pays for it
+    except ImportError:  # not on Windows
+        return max(peaks, default=None)
+    per_mb = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0  # ru_maxrss units
+    if not peaks:
+        peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mb)
+    if children:
+        peaks.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / per_mb)
+    return max(peaks)
+
+
 def _write_trace_csv(path, trace):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -251,6 +278,7 @@ def cmd_train(args):
         "solver": model.solver_info,
         "timings": model.solve_timings,
         "trace_path": str(trace_path),
+        "peak_rss_mb": _peak_rss_mb(),
     })
     _write_report(out_dir, "report.json", report)
     print(f"upper bound {model.minimax_risk:.6f}  lower bound "
@@ -374,6 +402,8 @@ def cmd_bounds(args):
             "lower_raw": hc.lower_raw, "upper_raw": hc.upper_raw,
         }
 
+    # rule_bounds may run a solve in a forked worker
+    report["peak_rss_mb"] = _peak_rss_mb(children=True)
     path = _write_report(out_dir, "bounds.json", report)
     print(f"wrote {path}")
     return EXIT_OK

@@ -22,6 +22,13 @@ KIND_RFF = "random_fourier"
 # generator name is recorded in serialized specs for reproducibility.
 RNG_NAME = "numpy-pcg64"
 
+# score_matrix maps and scores X this many bytes of features at a time, so a
+# call's memory stays bounded as the number of random features D grows. A
+# block holds X W^T and psi (rows x (B + D) x 8 bytes for random features,
+# rows x B x 8 for the identity map); an X that fits in one block is scored
+# in one product.
+SCORE_BLOCK_BYTES = 8 << 20
+
 
 @dataclass
 class FeatureMapSpec:
@@ -96,16 +103,17 @@ def scalar_feature_matrix(spec, X):
     if X.shape[1] != spec.d:
         raise ValueError(f"instances have dimension {X.shape[1]}, spec expects {spec.d}")
     if spec.kind == KIND_IDENTITY:
-        base = X
-    else:
-        Z = X @ frequencies(spec).T
-        base = np.empty((X.shape[0], 2 * spec.D))
-        np.cos(Z, out=base[:, 0::2])
-        np.sin(Z, out=base[:, 1::2])
-    if spec.include_constant:
-        ones = np.ones((base.shape[0], 1))
-        base = np.hstack([ones, base])
-    return base
+        if not spec.include_constant:
+            return X
+        return np.hstack([np.ones((X.shape[0], 1)), X])
+    Z = X @ frequencies(spec).T
+    # [1 | cos, sin interleaved] in one buffer, so psi is never copied
+    psi = np.empty((X.shape[0], block_dim(spec)))
+    first = 1 if spec.include_constant else 0
+    psi[:, :first] = 1.0
+    np.cos(Z, out=psi[:, first::2])
+    np.sin(Z, out=psi[:, first + 1::2])
+    return psi
 
 
 def scalar_features(spec, x):
@@ -125,9 +133,22 @@ def feature_map(spec, x, y):
 
 
 def score_matrix(spec, X, mu):
-    """Per-class scores Phi(x, y)^T mu for every row of X; shape (n, num_classes)."""
-    psi = scalar_feature_matrix(spec, X)
-    return psi @ np.asarray(mu, dtype=float).reshape(spec.num_classes, -1).T
+    """Per-class scores Phi(x, y)^T mu for every row of X; shape (n, num_classes).
+
+    Rows are mapped and scored in blocks of at most SCORE_BLOCK_BYTES of
+    features. A row's last bits depend on how many rows share its product
+    (see README), so they follow from the feature width; an X that fits in
+    one block is scored exactly as one product.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    W = np.asarray(mu, dtype=float).reshape(spec.num_classes, -1).T
+    width = block_dim(spec) + (spec.D if spec.kind == KIND_RFF else 0)
+    rows = max(1, SCORE_BLOCK_BYTES // (8 * width))
+    out = np.empty((X.shape[0], spec.num_classes))
+    for start in range(0, X.shape[0], rows):
+        np.matmul(scalar_feature_matrix(spec, X[start:start + rows]), W,
+                  out=out[start:start + rows])
+    return out
 
 
 def block_labels(spec):

@@ -16,6 +16,12 @@ instances instead of maximizing. Past SUBSET_ENUMERATION_CAP classes each
 instance's best subset comes from a sorted top-k rule (for a fixed size k
 it holds the k largest scores), which also evaluates phi.
 
+By weak duality every value of the learning and upper-bound objectives is
+at least the worst-case risk over the uncertainty set restricted to the
+pool, so at least 0 when that set is nonempty; every value of the
+lower-bound objective is at least -1. The builders record that `floor`,
+and a value below it proves the set empty.
+
 Problems expose `evaluate(mu) -> (value_excl_constant, token)` and
 `subgradient_from(mu, token)`. A token is the flat index i * R + r of the
 argmax row, or for averaged problems each instance's argmax r.
@@ -48,6 +54,8 @@ class PiecewiseLinearProblem:
     constant: float = 0.0
     negate_reported: bool = False   # set when min f encodes sup of the negation
     average: bool = False           # average the instance maxima instead
+    floor: float | None = None      # least value on a nonempty uncertainty
+                                    # set; None: solver.DIVERGENCE_FLOOR
 
     def __post_init__(self):
         self.a = np.ascontiguousarray(self.a, dtype=float)
@@ -232,6 +240,7 @@ def learning_problem(uncertainty, psi, num_classes):
         weights=weights,
         offsets=offsets,
         constant=1.0,
+        floor=0.0,
     )
 
 
@@ -262,6 +271,7 @@ def build_upper_bound_problem(uncertainty, psi, h):
         weights=np.eye(K),
         offsets=-h,
         constant=1.0,
+        floor=0.0,
     )
 
 
@@ -275,4 +285,5 @@ def lower_from_upper(upper):
     return PiecewiseLinearProblem(
         a=-upper.a, lam=upper.lam, psi=-upper.psi, weights=upper.weights,
         offsets=-upper.offsets, constant=-upper.constant, negate_reported=True,
+        floor=None if upper.floor is None else -1.0,
     )

@@ -45,12 +45,13 @@ class UnboundedObjectiveError(SolverError):
 
 
 class DivergenceError(SolverError):
-    """Non-finite objective value or DIVERGENCE_FLOOR crossed."""
+    """Non-finite objective value, or a value below the problem's floor."""
 
 
 METHODS = ("bsm", "asm", "easm", "easm_restart", "lp")
 
-DIVERGENCE_FLOOR = -1e9      # a value below it means unbounded below
+DIVERGENCE_FLOOR = -1e9      # the floor of a problem that has none of its own
+FLOOR_TOLERANCE = 1e-6       # rounding allowed below a built problem's floor
 LP_MAX_ROWS = 2000           # the simplex path's size limits (lp_fits)
 LP_MAX_COLS = 500
 EASM_BUDGET_BYTES = 2 << 30  # refuse G = psi psi^T beyond this
@@ -107,15 +108,25 @@ def lp_fits(problem):
     return problem.num_rows <= LP_MAX_ROWS and problem.dimension <= LP_MAX_COLS
 
 
-def _check_value(value, constant):
-    total = constant + value
+def _floor(problem):
+    """The problem's floor (see objective) and the least value the loop
+    accepts, that floor less FLOOR_TOLERANCE; both DIVERGENCE_FLOOR for a
+    problem without a floor."""
+    if problem.floor is None:
+        return DIVERGENCE_FLOOR, DIVERGENCE_FLOOR
+    return problem.floor, problem.floor - FLOOR_TOLERANCE
+
+
+def _check_value(value, problem):
+    total = problem.constant + value
     if not math.isfinite(total):
         raise DivergenceError("objective became non-finite")
-    if total < DIVERGENCE_FLOOR:
+    floor, least = _floor(problem)
+    if total < least:
         raise DivergenceError(
-            f"objective {total:.6g} crossed the divergence floor "
-            f"{DIVERGENCE_FLOOR:.6g}; the problem is likely unbounded below "
-            "(empty uncertainty set)"
+            f"objective {total:.6g} crossed the floor {floor:.6g}; the problem "
+            "is unbounded below (the uncertainty set restricted to the "
+            "instance pool is empty)"
         )
 
 
@@ -222,12 +233,12 @@ def _accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
     incumbent's or mu's, whichever is lower).
     """
     constant = problem.constant
-    floor = DIVERGENCE_FLOOR
+    least = _floor(problem)[1]
     inf = math.inf
     c, eta = _schedule_arrays(iters + 1)
     c, eta = c.tolist(), eta.tolist()
     raw, token = problem.evaluate(mu)
-    _check_value(raw, constant)
+    _check_value(raw, problem)
     best_raw = raw
     best_mu = mu.copy()
     if incumbent is not None and incumbent[0] - constant < best_raw:
@@ -289,8 +300,8 @@ def _accelerated(problem, mu, iters, rec, incumbent, recursion, basic):
             raw, token = problem.evaluate(mu, Vb)
         else:
             raw, token = problem._value_at(mu, v, Vb)
-        if not floor <= constant + raw < inf:
-            _check_value(raw, constant)
+        if not least <= constant + raw < inf:
+            _check_value(raw, problem)
         if raw < best_raw:
             best_raw = raw
             best_mu = mu.copy()

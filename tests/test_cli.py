@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mrckit import classifier, cli, objective, parallel
+from mrckit import classifier, cli, features, objective, parallel
 from mrckit.cli import main
 from mrckit.dataset import save_csv
 from conftest import make_blobs
@@ -160,22 +160,39 @@ def test_predict_command(blob_csv, tmp_path):
     assert rows[1][0] in ("1", "2")
 
 
+def assert_predict_matches_library(model_path, data, pred):
+    code = run_cli("predict", "--model", model_path, "--data", str(data),
+                   "--out", str(pred), "--proba")
+    assert code == 0
+    with open(pred / "predictions.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    model = classifier.load_model(model_path)
+    X = np.loadtxt(data, delimiter=",")[:, :-1]
+    names = [model.label_names[lab - 1] for lab in classifier.predict(model, X)]
+    assert [row[0] for row in rows] == names
+    proba = np.array([[float(v) for v in row[1:]] for row in rows])
+    assert np.allclose(proba, classifier.predict_proba(model, X), rtol=0, atol=1e-15)
+
+
 def test_predict_chunked_matches_library(blob_csv, tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     run_cli(*train_args(blob_csv, out))
     model_path = os.path.join(out, "model.json")
     monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", 7)
-    code = run_cli("predict", "--model", model_path, "--data", blob_csv,
-                   "--out", str(tmp_path / "pred"), "--proba")
-    assert code == 0
-    with open(tmp_path / "pred" / "predictions.csv") as fh:
-        rows = list(csv.reader(fh))[1:]
-    model = classifier.load_model(model_path)
-    X = np.loadtxt(blob_csv, delimiter=",")[:, :-1]
-    names = [model.label_names[lab - 1] for lab in classifier.predict(model, X)]
-    assert [row[0] for row in rows] == names
-    proba = np.array([[float(v) for v in row[1:]] for row in rows])
-    assert np.allclose(proba, classifier.predict_proba(model, X), rtol=0, atol=1e-15)
+    assert_predict_matches_library(model_path, blob_csv, tmp_path / "pred")
+    # a model whose 2048-row block is over the feature budget: 300 rows of
+    # X W^T and psi (20 + 40 features) per score block, the last one partial
+    monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", 2048)
+    monkeypatch.setattr(features, "SCORE_BLOCK_BYTES", 300 * (3 * 20) * 8)
+    out = str(tmp_path / "rff")
+    assert run_cli("train", "--data", blob_csv, "--out", out, "--D", "20",
+                   "--max-iters", "200", "--seed", "1") == 0
+    data = tmp_path / "test.csv"
+    save_csv(make_blobs(5000, d=2, seed=2), data)  # 3 blocks
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        assert_predict_matches_library(os.path.join(out, "model.json"), data,
+                                       tmp_path / f"pred{cpus}")
 
 
 def test_predict_chunked_warns_once(blob_csv, tmp_path, monkeypatch, caplog):
@@ -786,3 +803,56 @@ def test_exit_code_semantics(tmp_path, blob_csv):
                    "--features", "rff", "--D", "400", "--solver", "lp",
                    "--seed", "1")
     assert code == 2  # m = 1600 columns exceeds the LP budget
+
+
+# ru_maxrss units per MB: kB on Linux, bytes on macOS
+MAXRSS_PER_MB = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0
+
+
+def test_reports_record_peak_rss(blob_csv, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert run_cli("train", "--data", blob_csv, "--out", str(out), "--D", "10",
+                   "--max-iters", "300", "--seed", "1") == 0
+    report = json.loads((out / "report.json").read_text())
+    assert 0 < report["peak_rss_mb"] < 1e6
+    assert b"peak_rss_mb" not in (out / "model.json").read_bytes()
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    assert run_cli("bounds", "--model", str(out / "model.json"), "--out",
+                   str(tmp_path / "bounds"), "--deterministic",
+                   "--solver", "easm-restart", "--max-iters", "300") == 0
+    rep = json.loads((tmp_path / "bounds" / "bounds.json").read_text())
+    assert 0 < rep["peak_rss_mb"] < 1e6
+
+
+def test_peak_rss_takes_the_larger_child_peak(monkeypatch, tmp_path):
+    resource = pytest.importorskip("resource")
+    status = tmp_path / "status"
+    status.write_bytes(b"Name:\tpython\nVmHWM:\t    1024 kB\nVmRSS:\t 512 kB\n")
+    monkeypatch.setattr(cli, "PROC_STATUS", str(status))
+
+    class Usage:
+        def __init__(self, who):
+            # a forked solve whose peak is above this process's own
+            self.ru_maxrss = 300 * MAXRSS_PER_MB if who == resource.RUSAGE_CHILDREN else 0
+
+    monkeypatch.setattr(resource, "getrusage", Usage)
+    assert cli._peak_rss_mb() == 1.0
+    assert cli._peak_rss_mb(children=True) == 300.0
+
+
+def test_train_reports_without_proc_or_resource(blob_csv, tmp_path, monkeypatch):
+    # where neither is there (Windows), the report says so and train succeeds
+    monkeypatch.setattr(cli, "PROC_STATUS", str(tmp_path / "absent"))
+    monkeypatch.setitem(sys.modules, "resource", None)
+    out = tmp_path / "out"
+    assert run_cli("train", "--data", blob_csv, "--out", str(out), "--D", "10",
+                   "--max-iters", "300", "--seed", "1") == 0
+    assert json.loads((out / "report.json").read_text())["peak_rss_mb"] is None
+
+
+def test_peak_rss_without_proc_status(monkeypatch, tmp_path):
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(cli, "PROC_STATUS", str(tmp_path / "absent"))
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = cli._peak_rss_mb()
+    assert own <= peak * MAXRSS_PER_MB <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

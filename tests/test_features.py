@@ -154,3 +154,53 @@ def test_spec_round_trip():
     x = np.ones(4)
     assert np.array_equal(features.scalar_features(back, x),
                           features.scalar_features(spec, x))
+
+
+def test_score_matrix_under_budget_is_one_product(rng):
+    spec = features.rff_spec(3, 4, D=50, seed=2)
+    X = rng.normal(size=(400, 4))
+    mu = rng.normal(size=features.feature_dim(spec))
+    assert 400 * (3 * 50) * 8 <= features.SCORE_BLOCK_BYTES
+    expected = features.scalar_feature_matrix(spec, X) @ mu.reshape(3, -1).T
+    assert features.score_matrix(spec, X, mu).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 12, 13])
+def test_score_matrix_over_budget_scores_in_blocks(rng, monkeypatch, mapped_rows, n):
+    spec = features.rff_spec(3, 4, D=50, seed=2, include_constant=True)
+    X = rng.normal(size=(n, 4))
+    mu = rng.normal(size=features.feature_dim(spec))
+    expected = features.scalar_feature_matrix(spec, X) @ mu.reshape(3, -1).T
+    # 4 rows of (101 + 50) features per block: n = 13 ends in a 1-row block
+    monkeypatch.setattr(features, "SCORE_BLOCK_BYTES", 4 * 151 * 8 + 7)
+    mapped_rows.clear()
+    scores = features.score_matrix(spec, X, mu)
+    assert mapped_rows == [4] * (n // 4) + ([n % 4] if n % 4 else [])
+    assert np.allclose(scores, expected, rtol=0, atol=1e-12)
+    assert np.array_equal(np.argmax(scores, axis=1), np.argmax(expected, axis=1))
+
+
+def test_score_matrix_identity_block_counts_its_features(monkeypatch, mapped_rows):
+    spec = features.identity_spec(2, 3)
+    X = np.arange(30.0).reshape(10, 3)
+    mu = np.arange(6.0)
+    monkeypatch.setattr(features, "SCORE_BLOCK_BYTES", 3 * 3 * 8)  # 3 rows of B = 3
+    scores = features.score_matrix(spec, X, mu)
+    assert mapped_rows == [3, 3, 3, 1]
+    assert np.array_equal(scores, X @ mu.reshape(2, 3).T)
+
+
+def test_score_matrix_memory_bounded_in_feature_width(rng):
+    tracemalloc = pytest.importorskip("tracemalloc")
+    spec = features.rff_spec(2, 4, D=500, seed=0)
+    X = rng.normal(size=(5000, 4))
+    mu = rng.normal(size=features.feature_dim(spec))
+    features.frequencies(spec)  # the cached frequencies are not scoring memory
+    tracemalloc.start()
+    try:
+        features.score_matrix(spec, X, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one product over all rows would hold 5000 x 1500 x 8 = 60 MB
+    assert peak < 2 * features.SCORE_BLOCK_BYTES
