@@ -45,8 +45,7 @@ class MrcModel:
     mu_lower: np.ndarray | None = None   # solution of the lower-bound problem
     raw_bounds: dict = field(default_factory=dict)
     solver_info: dict = field(default_factory=dict)
-    training_trace: list | None = None   # (iter, sec, best, gamma); not serialized
-    solve_timings: dict = field(default_factory=dict)  # SolverRun.timings by solve; not serialized
+    runs: dict = field(default_factory=dict)  # SolverRun of "upper", "lower"; not serialized
     learning_rows: int | None = None     # None if fixed-marginal; not serialized
 
     @property
@@ -149,18 +148,49 @@ def fit(uncertainty, anchor, psi, spec, solver_config, *, variant="standard",
     """Training core over a fixed uncertainty set and a normalized anchor pool.
 
     `psi` holds the anchor's scalar features under `spec`; the repair, the
-    learning problem (also when rebuilt after a repair) and the lower
-    problem all use it. Minimizes the learning objective, repairing the set
-    as `repair` says (see train), reads the randomized rule off the solution
-    and, for the standard variant, solves the companion problem that
-    certifies the lower bound on its error probability.
+    learning problem and the lower problem all use it. Minimizes the
+    learning objective, reads the randomized rule off the solution and, for
+    the standard variant, solves the companion problem that certifies the
+    lower bound on its error probability. Under repair "auto", either solve
+    proving the set empty (a value below its floor, or a lower bound above
+    the upper one) repairs the set, and both are solved again on it.
     """
     if repair not in ("auto", "always", "never"):
         raise ValueError(f"unknown repair policy {repair!r}")
     if variant not in ("standard", "fixed_marginal"):
         raise ValueError(f"unknown variant {variant!r}")
-    unc, run, problem, notices = _solve_learning(
-        uncertainty, psi, spec.num_classes, solver_config, variant, repair)
+    notices = []
+    if repair == "always":
+        uncertainty, changed = _repair(uncertainty, psi, spec.num_classes)
+        if changed:
+            notices.append("uncertainty set repaired up front")
+            log.info("feasibility repair adjusted the uncertainty set")
+
+    def solve_on(unc):
+        return _fit_once(unc, anchor, psi, spec, solver_config, variant,
+                         compute_lower, normalization, label_names)
+
+    try:
+        model = solve_on(uncertainty)
+    except (UnboundedObjectiveError, DivergenceError) as exc:
+        if repair != "auto":
+            raise
+        log.warning("solve failed (%s); repairing the uncertainty set", exc)
+        notices.append(f"repaired after: {exc}")
+        model = solve_on(_repair(uncertainty, psi, spec.num_classes)[0])
+    model.solver_info["notices"] = notices
+    return model
+
+
+def _fit_once(unc, anchor, psi, spec, solver_config, variant, compute_lower,
+              normalization, label_names):
+    """One fit on a fixed uncertainty set, with no repair: the learning
+    solve and, when asked for, the lower-bound solve."""
+    problem = objective.learning_problem(unc, psi, spec.num_classes)
+    # the fixed-marginal objective averages the instance maxima
+    if variant == "fixed_marginal":
+        problem = dataclasses.replace(problem, average=True)
+    run = solve(problem, solver_config)
     # phi* and the rule come from the anchor's scores under mu*, read off the
     # learning problem's own scalar features
     scores = problem.scores(run.best_mu)
@@ -176,10 +206,8 @@ def fit(uncertainty, anchor, psi, spec, solver_config, *, variant="standard",
             "status": run.status,
             "iterations": run.iterations_done,
             "upper_certificate": run.certificate,
-            "notices": notices,
         },
-        training_trace=run.trace,
-        solve_timings={"upper": run.timings},
+        runs={"upper": run},
         learning_rows=None if problem.average else problem.num_rows,
     )
     if compute_lower and variant == "standard":
@@ -192,41 +220,8 @@ def fit(uncertainty, anchor, psi, spec, solver_config, *, variant="standard",
         model.lower_bound = _clamp(model.raw_bounds["lower"])
         model.mu_lower = low_run.best_mu
         model.solver_info["lower_certificate"] = low_run.certificate
-        model.solve_timings["lower"] = low_run.timings
+        model.runs["lower"] = low_run
     return model
-
-
-def _solve_learning(unc, psi, num_classes, solver_config, variant, repair):
-    """Build and minimize the learning objective, repairing per `repair`.
-
-    Returns (uncertainty set used, run, the problem it minimized, notices).
-    """
-    notices = []
-    if repair == "always":
-        unc, changed = _repair(unc, psi, num_classes)
-        if changed:
-            notices.append("uncertainty set repaired up front")
-            log.info("feasibility repair adjusted the uncertainty set")
-
-    def build(unc):
-        problem = objective.learning_problem(unc, psi, num_classes)
-        # the fixed-marginal objective averages the instance maxima
-        if variant == "fixed_marginal":
-            problem = dataclasses.replace(problem, average=True)
-        return problem
-
-    problem = build(unc)
-    try:
-        run = solve(problem, solver_config)
-    except (UnboundedObjectiveError, DivergenceError) as exc:
-        if repair != "auto":
-            raise
-        log.warning("learning solve failed (%s); repairing the uncertainty set", exc)
-        notices.append(f"repaired after: {exc}")
-        unc, _ = _repair(unc, psi, num_classes)
-        problem = build(unc)
-        run = solve(problem, solver_config)
-    return unc, run, problem, notices
 
 
 def _check_order(lower_raw, upper_raw):
@@ -341,11 +336,7 @@ class RuleBounds:
     upper: float
     lower_raw: float
     upper_raw: float
-    lower_certificate: str
-    upper_certificate: str
-    mu_lower: np.ndarray
-    mu_upper: np.ndarray
-    timings: dict = field(default_factory=dict)  # SolverRun.timings of "lower", "upper"
+    runs: dict                           # SolverRun of "lower", "upper"
 
 
 def bounds_for_rule(uncertainty, instances, spec, h, solver_config=None):
@@ -373,10 +364,7 @@ def rule_bounds(uncertainty, psi, h, solver_config=None):
     return RuleBounds(
         lower=_clamp(lower_raw), upper=_clamp(upper_raw),
         lower_raw=lower_raw, upper_raw=upper_raw,
-        lower_certificate=low_run.certificate,
-        upper_certificate=high_run.certificate,
-        mu_lower=low_run.best_mu, mu_upper=high_run.best_mu,
-        timings={"lower": low_run.timings, "upper": high_run.timings},
+        runs={"lower": low_run, "upper": high_run},
     )
 
 
@@ -388,7 +376,7 @@ class HighConfidenceBounds:
     upper_raw: float
 
 
-def high_confidence_bounds(model, lambda_delta, mu_lower=None):
+def high_confidence_bounds(model, lambda_delta):
     """Widen the learning-time bounds to a coverage-level confidence vector.
 
     lambda_delta must dominate the training confidence vector component-wise;
@@ -401,13 +389,11 @@ def high_confidence_bounds(model, lambda_delta, mu_lower=None):
         raise ValueError("lambda_delta has the wrong length")
     if np.any(lambda_delta < lam - 1e-12):
         raise ValueError("lambda_delta must dominate the training lambda")
-    if mu_lower is None:
-        mu_lower = model.mu_lower
-    if mu_lower is None or model.lower_bound is None:
+    if model.mu_lower is None or model.lower_bound is None:
         raise ValueError("model carries no lower-bound solve")
     gap = lambda_delta - lam
     hi_raw = model.minimax_risk + float(gap @ np.abs(model.mu_star))
-    lo_raw = model.lower_bound - float(gap @ np.abs(mu_lower))
+    lo_raw = model.lower_bound - float(gap @ np.abs(model.mu_lower))
     return HighConfidenceBounds(
         lower=_clamp(lo_raw), upper=_clamp(hi_raw),
         lower_raw=lo_raw, upper_raw=hi_raw,

@@ -43,6 +43,10 @@ PROC_STATUS = "/proc/self/status"
 
 SOLVER_CHOICES = [method.replace("_", "-") for method in METHODS]
 
+# model-select ranks the kernel scales on an anchor subsample of this many
+# training rows (the whole training split when it has no more)
+SELECT_ANCHOR_SIZE = 400
+
 
 def child_seed(master, counter):
     """Stable per-task seed derived from the master seed."""
@@ -58,16 +62,15 @@ FLAGS = {
     "--D": dict(type=int, default=500, help="number of random frequencies"),
     "--sigma": dict(type=float, default=None,
                     help="kernel scale (default sqrt(d/2))"),
-    "--rff-seed": dict(type=int, default=None,
-                       help="frequency seed (default: derived from --seed)"),
     "--lambda-mode": dict(default="practical",
                           choices=["hoeffding", "bernstein", "rademacher", "practical"]),
     "--lambda0": dict(type=float, default=0.3),
     "--delta": dict(type=float, default=0.05),
     "--rademacher-R": dict(dest="rademacher_R", type=float, default=None),
     "--solver": dict(default="easm-restart", choices=SOLVER_CHOICES,
-                     help="train defaults to asm for the fixed-marginal variant; "
-                          "bounds to lp when the bound problems fit it"),
+                     help="default easm-restart; train runs asm for the "
+                          "fixed-marginal variant, and bounds lp when the "
+                          "bound problems fit it"),
     "--max-iters": dict(type=int, default=200_000),
     "--restart-period": dict(type=int, default=10_000),
     "--anchor": dict(default="train",
@@ -76,7 +79,7 @@ FLAGS = {
     "--out": dict(required=True, help="output directory"),
 }
 
-FEATURE_FLAGS = ("--features", "--D", "--sigma", "--rff-seed")
+FEATURE_FLAGS = ("--features", "--D", "--sigma")
 WIDTH_FLAGS = ("--lambda-mode", "--lambda0", "--delta", "--rademacher-R")
 SOLVER_FLAGS = ("--solver", "--max-iters", "--restart-period")
 
@@ -104,7 +107,7 @@ def build_parser():
                          default="standard")
     p_train.add_argument("--repair", choices=["auto", "always", "never"],
                          default="auto")
-    p_train.add_argument("--trace-every", type=int, default=100)
+    p_train.add_argument("--trace-every", type=_positive_int, default=100)
     # without --solver, solver.solve picks the method from the variant
     p_train.set_defaults(solver=None)
 
@@ -140,10 +143,10 @@ def build_parser():
     p_bench = command("bench-solvers", "trace every method on one problem",
                       "--data", "--has-header", *FEATURE_FLAGS, *WIDTH_FLAGS,
                       "--max-iters", "--restart-period", "--seed", "--out")
-    p_bench.add_argument("--trace-every", type=int, default=1)
+    p_bench.add_argument("--trace-every", type=_positive_int, default=1)
 
     p_sel = command("model-select", "pick the kernel scale by the upper bound",
-                    "--data", "--has-header", "--D", "--rff-seed", *WIDTH_FLAGS,
+                    "--data", "--has-header", "--D", *WIDTH_FLAGS,
                     *SOLVER_FLAGS, "--seed", "--out")
     p_sel.add_argument("--sigma-grid", default=None,
                        help="comma-separated scales (default: 20 between the "
@@ -151,23 +154,30 @@ def build_parser():
     p_sel.add_argument("--splits", type=int, default=20)
     p_sel.add_argument("--test-fraction", type=float, default=0.2)
     p_sel.add_argument("--select-max-iters", type=int, default=20_000)
-    p_sel.add_argument("--select-anchor-size", type=int, default=400,
-                       help="anchor subsample used during selection (0 = full)")
     p_sel.set_defaults(features="rff")  # it tunes the kernel scale
 
     return parser
 
 
+def _positive_int(text):
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _spec_from_args(args, data, seed_counter=0, sigma=None):
-    """The feature map of the flags; `sigma` overrides --sigma."""
-    rff_seed = args.rff_seed
-    if rff_seed is None:
-        rff_seed = args.seed * 1000003 + seed_counter
+    """The feature map of the flags; `sigma` overrides --sigma. The
+    frequency seed derives from --seed and `seed_counter`."""
     if args.features == "identity":
         return features.identity_spec(data.num_classes, data.d)
     return features.rff_spec(data.num_classes, data.d, D=args.D,
                              sigma=args.sigma if sigma is None else sigma,
-                             seed=rff_seed)
+                             seed=args.seed * 1000003 + seed_counter)
 
 
 def _solver_config_from_args(args, **overrides):
@@ -253,8 +263,7 @@ def cmd_train(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     data = load_csv(args.data, has_header=args.has_header)
     spec = _spec_from_args(args, data)
-    cfg = _solver_config_from_args(args, record_trace=True,
-                                   trace_every=args.trace_every)
+    cfg = _solver_config_from_args(args, trace_every=args.trace_every)
     model = classifier.train(
         data, spec, **_uncertainty_args(args), solver_config=cfg,
         anchor=_anchor_from_args(args, data.d),
@@ -265,7 +274,7 @@ def cmd_train(args):
     classifier.save_model(model, model_path)
 
     trace_path = out_dir / "trace.csv"
-    _write_trace_csv(trace_path, model.training_trace)
+    _write_trace_csv(trace_path, model.runs["upper"].trace)
     report = _report_base(args)
     report.update({
         "model_path": str(model_path),
@@ -276,7 +285,7 @@ def cmd_train(args):
         "m": model.mu_star.size,
         "p": model.learning_rows,
         "solver": model.solver_info,
-        "timings": model.solve_timings,
+        "timings": {side: run.timings for side, run in model.runs.items()},
         "trace_path": str(trace_path),
         "peak_rss_mb": _peak_rss_mb(),
     })
@@ -382,8 +391,9 @@ def cmd_bounds(args):
         report["deterministic_rule"] = {
             "lower": det.lower, "upper": det.upper,
             "lower_raw": det.lower_raw, "upper_raw": det.upper_raw,
-            "certificates": [det.lower_certificate, det.upper_certificate],
-            "timings": det.timings,
+            "certificates": [det.runs["lower"].certificate,
+                             det.runs["upper"].certificate],
+            "timings": {side: run.timings for side, run in det.runs.items()},
         }
 
     lam_delta = None
@@ -414,6 +424,10 @@ def cmd_sweep_lambda(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = _parse_grid(args.lambda0_grid, float)
     data = load_csv(args.data, has_header=args.has_header)
+    largest = int(np.bincount(data.labels).max())
+    if not 2 <= args.folds <= largest:  # before any fit; else a fold is empty
+        raise DataError(f"--folds must lie in [2, {largest}], the row count of "
+                        f"the largest class, got {args.folds}")
     folds = stratified_folds(data, args.folds, args.seed)
     rows = []
     for gi, lam0 in enumerate(grid):
@@ -512,7 +526,7 @@ def cmd_bench_solvers(args):
     methods = [method for method in METHODS if method != "lp"]
     summary = {"methods": {}, "p": problem.num_rows, "m": problem.dimension}
     for name in methods:
-        cfg = _solver_config_from_args(args, method=name, record_trace=True,
+        cfg = _solver_config_from_args(args, method=name,
                                        trace_every=args.trace_every)
         run = solve(problem, cfg)
         trace_path = out_dir / f"trace_{name}.csv"
@@ -536,6 +550,8 @@ def cmd_bench_solvers(args):
 
 
 def cmd_model_select(args):
+    if args.splits < 1:  # no split would leave every mean undefined
+        raise DataError(f"--splits must be at least 1, got {args.splits}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = load_csv(args.data, has_header=args.has_header)
@@ -547,8 +563,8 @@ def cmd_model_select(args):
         select_cfg = _solver_config_from_args(args, max_iters=args.select_max_iters)
         rng = np.random.default_rng(child_seed(args.seed, 50_000 + split_i))
         anchor = None
-        if 0 < args.select_anchor_size < train_set.n:
-            rows = rng.choice(train_set.n, size=args.select_anchor_size, replace=False)
+        if SELECT_ANCHOR_SIZE < train_set.n:
+            rows = rng.choice(train_set.n, size=SELECT_ANCHOR_SIZE, replace=False)
             anchor = train_set.instances[rows]
         best = None
         for si, sigma in enumerate(grid):

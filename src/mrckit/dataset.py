@@ -263,12 +263,10 @@ def load_features(path, d, has_header=False):
     return np.concatenate(blocks)
 
 
-def save_csv(dataset, path, header=None):
+def save_csv(dataset, path):
     """Write a Dataset back to CSV (floats via repr, so reload is exact)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
         for i in range(dataset.n):
             row = [repr(float(v)) for v in dataset.instances[i]]
             row.append(dataset.label_names[dataset.labels[i] - 1])

@@ -70,10 +70,9 @@ def rff_spec(num_classes, d, D=500, sigma=None, seed=0, include_constant=False):
                           include_constant=include_constant)
 
 
-def identity_spec(num_classes, d, include_constant=False, feature_bound=None):
+def identity_spec(num_classes, d, include_constant=False):
     return FeatureMapSpec(KIND_IDENTITY, num_classes, d,
-                          include_constant=include_constant,
-                          feature_bound=feature_bound)
+                          include_constant=include_constant)
 
 
 def block_dim(spec):

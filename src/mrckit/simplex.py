@@ -43,6 +43,7 @@ OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
+TOL = 1e-9            # reduced-cost, ratio-test and phase-1 residual tolerance
 PERTURBATION = 1e-7   # relative raise of each basic value when a phase starts
 FEASIBILITY = 1e-7    # a warm basis with a value below -FEASIBILITY, or whose
                       # inverse misses the identity by more, is not used
@@ -65,7 +66,7 @@ class SimplexResult:
     pivots: int
 
 
-def solve_standard_form(c, A, b, basis=None, tol=1e-9, max_pivots=None):
+def solve_standard_form(c, A, b, basis=None):
     """Minimize c^T x subject to A x = b, x >= 0.
 
     If `basis` (column indices of a feasible basis) is given, phase 1 is
@@ -79,9 +80,7 @@ def solve_standard_form(c, A, b, basis=None, tol=1e-9, max_pivots=None):
     p, n = A.shape
     if b.shape != (p,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
-    if max_pivots is None:
-        max_pivots = 2000 + 50 * (p + n)
-    lp = _Simplex(A, b, tol, max_pivots)
+    lp = _Simplex(A, b)
 
     warm = basis is not None and lp.start_from(lp.internal[np.asarray(basis, dtype=int)])
     if not warm:
@@ -89,7 +88,7 @@ def solve_standard_form(c, A, b, basis=None, tol=1e-9, max_pivots=None):
         if lp.run_phase(lp.phase_one_cost) != OPTIMAL:
             raise SimplexError("phase 1 did not terminate at an optimum")
         artificial = lp.solve(lp.b)[:p][lp.cover >= lp.real]
-        if float(np.abs(artificial).sum()) > tol * (1.0 + np.abs(b).max(initial=0.0)):
+        if float(np.abs(artificial).sum()) > TOL * (1.0 + np.abs(b).max(initial=0.0)):
             return SimplexResult(INFEASIBLE, None, None, None, lp.pivots)
         lp.pin_artificials = True
     cost = np.zeros(lp.columns + 1)
@@ -113,7 +112,7 @@ class _Simplex:
     covered ones hold a value) followed by the dense basic columns.
     """
 
-    def __init__(self, A, b, tol, max_pivots):
+    def __init__(self, A, b):
         p, n = A.shape
         nonzero = A != 0.0
         row = nonzero.argmax(axis=0)
@@ -132,7 +131,8 @@ class _Simplex:
         self.columns = n + p
         self.phase_one_cost = np.zeros(self.columns + 1)
         self.phase_one_cost[n:self.columns] = 1.0
-        self.p, self.b, self.tol, self.max_pivots = p, b, tol, max_pivots
+        self.p, self.b = p, b
+        self.max_pivots = 2000 + 50 * (p + n)
         self.pivots = 0
         self.pin_artificials = False
         self.updates = 0
@@ -299,13 +299,12 @@ class _Simplex:
     def _primal(self, cost, rhs):
         stall = 0
         bland = False
-        tol = self.tol
         while True:
             x = self.solve(rhs)
             y = self.duals(cost[self.slot_columns()])
             reduced = cost[:self.real] - self.row_times_columns(y)
             reduced[self.in_basis[:self.real]] = 0.0
-            candidates = np.flatnonzero(reduced < -tol)
+            candidates = np.flatnonzero(reduced < -TOL)
             if candidates.size == 0:
                 if self.updates:
                     self.refactor()
@@ -319,7 +318,7 @@ class _Simplex:
                 ratio_d = d.copy()
                 pinned = np.flatnonzero(self.cover >= self.real)
                 ratio_d[pinned] = np.abs(d[pinned])
-            pos = np.flatnonzero(ratio_d > tol)
+            pos = np.flatnonzero(ratio_d > TOL)
             if pos.size == 0:
                 if self.updates:
                     self.refactor()
@@ -327,7 +326,7 @@ class _Simplex:
                 return UNBOUNDED
             ratios = x[pos] / ratio_d[pos]
             theta = max(ratios.min(), 0.0)
-            near = pos[ratios <= theta + tol * (1.0 + abs(theta))]
+            near = pos[ratios <= theta + TOL * (1.0 + abs(theta))]
             if bland:
                 r = int(near[np.argmin(self.slot_columns()[near])])
             else:
@@ -335,7 +334,7 @@ class _Simplex:
             if abs(d[r]) < PIVOT_FLOOR and self.updates:
                 self.refactor()
                 continue
-            if theta <= tol:
+            if theta <= TOL:
                 stall += 1
                 bland = bland or stall > STALL_LIMIT
             else:
@@ -349,7 +348,7 @@ class _Simplex:
         while True:
             x = self.solve(self.b)
             r = int(np.argmin(x))
-            if x[r] >= -self.tol:
+            if x[r] >= -TOL:
                 return
             y = self.duals(cost[self.slot_columns()])
             reduced = np.maximum(cost[:self.real] - self.row_times_columns(y), 0.0)
@@ -357,11 +356,11 @@ class _Simplex:
             e_r[r] = 1.0
             alpha = self.row_times_columns(self.duals(e_r))  # row r of B⁻¹A
             alpha[self.in_basis[:self.real]] = 0.0
-            candidates = np.flatnonzero(alpha < -self.tol)
+            candidates = np.flatnonzero(alpha < -TOL)
             if candidates.size == 0:
                 return  # round-off only: the phase starts from a feasible basis
             ratios = reduced[candidates] / -alpha[candidates]
-            near = candidates[ratios <= ratios.min() + self.tol]
+            near = candidates[ratios <= ratios.min() + TOL]
             j = int(near[np.argmin(alpha[near])])
             a = self.column(j)
             self.pivot(j, r, a, self.solve(a))

@@ -62,8 +62,7 @@ class SolverConfig:
     method: str | None = None          # one of METHODS; None: solve picks
     max_iters: int = 200_000
     restart_period: int = 10_000
-    record_trace: bool = False
-    trace_every: int = 1
+    trace_every: int | None = None     # a trace row every this many steps; None: no trace
     record_iterates: bool = False
 
 
@@ -134,8 +133,8 @@ class _RunRecorder:
     """Trace/iterate bookkeeping of the subgradient loop, segment by segment."""
 
     def __init__(self, config, dim):
-        self.trace = [] if config.record_trace else None
-        self.every = max(1, config.trace_every)
+        self.trace = None if config.trace_every is None else []
+        self.every = config.trace_every
         self.iterates = [] if config.record_iterates else None
         self.dim = dim
 
@@ -325,6 +324,8 @@ def _solve_accelerated(problem, config, method):
     """
     if config.max_iters < 1:
         raise SolverError("max_iters must be at least 1")
+    if config.trace_every is not None and config.trace_every < 1:
+        raise SolverError("trace_every must be at least 1")
     period = config.max_iters
     if method == "easm_restart":
         if config.restart_period < 1:

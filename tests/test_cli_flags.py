@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from mrckit import cli, parallel
+from mrckit import classifier, cli, parallel
 from mrckit.cli import main
 from mrckit.dataset import save_csv
 from conftest import make_blobs
@@ -26,7 +26,9 @@ def train_model(data, out):
 
 
 REQUIRED = {
+    "train": [],
     "sweep-lambda": ["--lambda0-grid", "0.3"],
+    "reduce-study": ["--sizes", "20"],
     "bench-solvers": [],
     "model-select": [],
 }
@@ -43,6 +45,9 @@ REQUIRED = {
     ("model-select", "--sigma", "1.0"),
     ("model-select", "--anchor", "train"),
     ("model-select", "--features", "identity"),
+    ("model-select", "--select-anchor-size", "400"),
+    *[(command, "--rff-seed", "7") for command in
+      ("train", "sweep-lambda", "reduce-study", "bench-solvers", "model-select")],
 ])
 def test_study_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag, value):
     # the data file does not exist: a command that ran would exit 1
@@ -53,6 +58,49 @@ def test_study_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag, 
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "bench-solvers"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_trace_every_below_one_is_a_usage_error(tmp_path, capsys, command, value):
+    argv = [command, "--data", str(tmp_path / "absent.csv"), "--out",
+            str(tmp_path / "o"), "--trace-every", value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument --trace-every: must be at least 1, got {value}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def no_fit(*args, **kwargs):
+    pytest.fail("a model was fitted")
+
+
+def test_model_select_without_splits_is_an_input_error(blob_csv, tmp_path, capfd,
+                                                       monkeypatch):
+    monkeypatch.setattr(classifier, "train", no_fit)
+    out = tmp_path / "sel"
+    assert main(["model-select", "--data", blob_csv, "--out", str(out),
+                 "--splits", "0"]) == 1
+    err = capfd.readouterr().err
+    assert "--splits must be at least 1, got 0" in err
+    assert "Warning" not in err
+    assert not (out / "model_select.json").exists()
+
+
+def test_sweep_folds_over_the_largest_class_is_an_input_error(blob_csv, tmp_path,
+                                                              capsys, monkeypatch):
+    # 60 rows in two classes of 30: a 31st fold would be empty
+    monkeypatch.setattr(classifier, "train", no_fit)
+    out = tmp_path / "sweep"
+    for folds in ("31", "200"):
+        assert main(["sweep-lambda", "--data", blob_csv, "--out", str(out),
+                     "--lambda0-grid", "0.3", "--folds", folds]) == 1
+        err = capsys.readouterr().err
+        assert f"--folds must lie in [2, 30], the row count of the largest " \
+               f"class, got {folds}" in err
+    assert not (out / "sweep_lambda.csv").exists()
 
 
 def test_bounds_lambda_delta_add_and_mode_exclude_each_other(blob_csv, tmp_path, capsys):

@@ -69,6 +69,21 @@ def test_rule_bounds_refuse_lower_above_upper():
         classifier.rule_bounds(unc, psi, h, cfg)
 
 
+@pytest.mark.parametrize("budget", [1, 3, 10])
+def test_fit_repairs_an_inverted_pair_only_under_auto(budget):
+    unc, psi = zero_pool_set()
+    spec = features.identity_spec(2, 2)
+    # short solves stay above the floors, while the bounds cross
+    cfg = SolverConfig(method="asm", max_iters=budget)
+    with pytest.raises(UnboundedObjectiveError, match="exceeds upper bound"):
+        classifier.fit(unc, np.zeros((3, 2)), psi, spec, cfg, repair="never")
+    model = classifier.fit(unc, np.zeros((3, 2)), psi, spec, cfg, repair="auto")
+    assert model.solver_info["notices"][0].startswith("repaired after: lower bound")
+    assert model.uncertainty.provenance["repaired"] is True
+    assert model.raw_bounds["lower"] <= model.raw_bounds["upper"]
+    assert set(model.runs) == {"upper", "lower"}
+
+
 def test_floors_of_the_built_problems():
     unc, psi = zero_pool_set()
     learning = objective.learning_problem(unc, psi, 2)

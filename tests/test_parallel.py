@@ -210,11 +210,11 @@ def test_bounds_for_rule_same_at_one_and_two_cpus(cpus):
         cpus(n)
         runs.append(classifier.bounds_for_rule(unc, ds.instances, spec, h, cfg))
     one, two = runs
-    for name in ("lower", "upper", "lower_raw", "upper_raw",
-                 "lower_certificate", "upper_certificate"):
+    for name in ("lower", "upper", "lower_raw", "upper_raw"):
         assert getattr(one, name) == getattr(two, name)
-    assert np.array_equal(one.mu_lower, two.mu_lower)
-    assert np.array_equal(one.mu_upper, two.mu_upper)
+    for side in ("lower", "upper"):
+        assert one.runs[side].certificate == two.runs[side].certificate
+        assert np.array_equal(one.runs[side].best_mu, two.runs[side].best_mu)
 
 
 STUDIES = {

@@ -180,10 +180,20 @@ def test_monotone_best_all_methods(rng):
     problem, *_ = random_learning_problem(seed=3, n=20)
     for method in ("bsm", "asm", "easm", "easm_restart"):
         cfg = SolverConfig(method=method, max_iters=800, restart_period=200,
-                           record_trace=True)
+                           trace_every=1)
         run = solve(problem, cfg)
         best = [row[2] for row in run.trace]
         assert all(a >= b - 1e-15 for a, b in zip(best, best[1:]))
+
+
+def test_trace_every_selects_the_rows_and_must_be_at_least_one():
+    problem, *_ = random_learning_problem(seed=3, n=20)
+    assert solve(problem, SolverConfig(method="asm", max_iters=10)).trace is None
+    run = solve(problem, SolverConfig(method="asm", max_iters=10, trace_every=4))
+    assert [row[0] for row in run.trace] == [0, 4, 8]
+    for every in (0, -1):
+        with pytest.raises(SolverError, match="trace_every must be at least 1"):
+            solve(problem, SolverConfig(method="asm", max_iters=10, trace_every=every))
 
 
 def test_restart_noop_when_period_covers_budget():
@@ -199,7 +209,7 @@ def test_restart_carries_best_across_boundary():
     problem, *_ = random_learning_problem(seed=5, n=15)
     run = solve_easm_restart(
         problem, SolverConfig(max_iters=600, restart_period=150,
-                              record_trace=True))
+                              trace_every=1))
     best = [row[2] for row in run.trace]
     assert all(a >= b - 1e-15 for a, b in zip(best, best[1:]))
     # the second segment finds no better point, so a third would replay it
@@ -334,7 +344,7 @@ def test_bsm_stationary_exit_through_solve():
         a=np.zeros(1), lam=np.zeros(1),
         F=np.array([[-1.0], [0.0]]), b=np.array([0.5, 0.0]))
     run = solve(problem, SolverConfig(method="bsm", max_iters=100,
-                                      record_trace=True, record_iterates=True))
+                                      trace_every=1, record_iterates=True))
     assert run.status == "stationary"
     assert run.iterations_done == 2
     assert [row[0] for row in run.trace] == [0, 1, 2]
@@ -451,7 +461,7 @@ def test_loop_matches_reference_bit_for_bit(name, monkeypatch):
     for method in methods:
         # restarts of 120 carry an incumbent into the later segments
         cfg = SolverConfig(method=method, max_iters=400, restart_period=120,
-                           record_trace=True, record_iterates=True)
+                           trace_every=1, record_iterates=True)
         run = solve(problem, cfg)
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_accelerated", _reference_accelerated)
