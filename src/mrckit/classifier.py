@@ -215,8 +215,7 @@ def _fit_once(unc, anchor, psi, spec, solver_config, variant, compute_lower,
         low_problem = objective.lower_from_upper(
             objective.build_upper_bound_problem(unc, psi, h))
         low_run = solve(low_problem, solver_config)
-        model.raw_bounds["lower"] = low_problem.reported_value(low_run.best_value)
-        _check_order(model.raw_bounds["lower"], run.best_value)
+        model.raw_bounds["lower"] = _lower_raw(low_problem, low_run, run.best_value)
         model.lower_bound = _clamp(model.raw_bounds["lower"])
         model.mu_lower = low_run.best_mu
         model.solver_info["lower_certificate"] = low_run.certificate
@@ -224,14 +223,17 @@ def _fit_once(unc, anchor, psi, spec, solver_config, variant, compute_lower,
     return model
 
 
-def _check_order(lower_raw, upper_raw):
-    """Refuse a raw lower bound above the raw upper bound: on a nonempty
-    uncertainty set the rule's best-case risk is at most its worst-case
-    risk, and each bound is on its side of it, however inexact the solve."""
+def _lower_raw(low, run, upper_raw):
+    """The raw lower bound that `run` certifies on the negated problem `low`,
+    refused above the raw upper bound: on a nonempty uncertainty set the
+    rule's best-case risk is at most its worst-case risk, and each bound is
+    on its side of it, however inexact the solve."""
+    lower_raw = low.reported_value(run.best_value)
     if lower_raw > upper_raw + FLOOR_TOLERANCE:
         raise UnboundedObjectiveError(
             f"lower bound {lower_raw:.6g} exceeds upper bound {upper_raw:.6g}: "
             "the uncertainty set restricted to the instance pool is empty")
+    return lower_raw
 
 
 def _repair(unc, psi, num_classes):
@@ -330,13 +332,21 @@ def evaluate(model, test):
     return {"randomized_risk": randomized, "deterministic_error": deterministic}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuleBounds:
-    lower: float
-    upper: float
+    """A certified interval on a rule's error probability: the raw values
+    of the bounds, and `lower`/`upper` read clamped to [0, 1]."""
     lower_raw: float
     upper_raw: float
-    runs: dict                           # SolverRun of "lower", "upper"
+    runs: dict = field(default_factory=dict)  # SolverRun of "lower", "upper", if solved
+
+    @property
+    def lower(self):
+        return _clamp(self.lower_raw)
+
+    @property
+    def upper(self):
+        return _clamp(self.upper_raw)
 
 
 def bounds_for_rule(uncertainty, instances, spec, h, solver_config=None):
@@ -358,22 +368,8 @@ def rule_bounds(uncertainty, psi, h, solver_config=None):
     # the two solves are independent, so they run side by side
     low_run, high_run = parallel.ordered_map(
         lambda problem: solve(problem, solver_config), [low, high])
-    lower_raw = low.reported_value(low_run.best_value)
-    upper_raw = high_run.best_value
-    _check_order(lower_raw, upper_raw)
-    return RuleBounds(
-        lower=_clamp(lower_raw), upper=_clamp(upper_raw),
-        lower_raw=lower_raw, upper_raw=upper_raw,
-        runs={"lower": low_run, "upper": high_run},
-    )
-
-
-@dataclass
-class HighConfidenceBounds:
-    lower: float
-    upper: float
-    lower_raw: float
-    upper_raw: float
+    return RuleBounds(_lower_raw(low, low_run, high_run.best_value),
+                      high_run.best_value, {"lower": low_run, "upper": high_run})
 
 
 def high_confidence_bounds(model, lambda_delta):
@@ -394,10 +390,7 @@ def high_confidence_bounds(model, lambda_delta):
     gap = lambda_delta - lam
     hi_raw = model.minimax_risk + float(gap @ np.abs(model.mu_star))
     lo_raw = model.lower_bound - float(gap @ np.abs(model.mu_lower))
-    return HighConfidenceBounds(
-        lower=_clamp(lo_raw), upper=_clamp(hi_raw),
-        lower_raw=lo_raw, upper_raw=hi_raw,
-    )
+    return RuleBounds(lo_raw, hi_raw)
 
 
 @dataclass

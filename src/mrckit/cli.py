@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__, classifier, estimate, features, objective, parallel
 from .dataset import (DataError, apply_normalizer, block_features,
                       fit_normalizer, load_csv, load_features, no_data_rows,
-                      record_blocks, stratified_folds, stratified_split)
+                      record_blocks, split_test_rows, stratified_folds,
+                      stratified_split)
 from .simplex import SimplexError
 from .solver import METHODS, SolverConfig, SolverError, lp_fits, solve
 
@@ -249,6 +250,18 @@ def _peak_rss_mb(children=False):
     return max(peaks)
 
 
+def _model_bounds(model):
+    """The report fields of the bounds a model carries."""
+    return {"upper_bound": model.minimax_risk, "lower_bound": model.lower_bound,
+            "raw_bounds": model.raw_bounds}
+
+
+def _interval(bounds):
+    """The report fields of a classifier.RuleBounds."""
+    return {"lower": bounds.lower, "upper": bounds.upper,
+            "lower_raw": bounds.lower_raw, "upper_raw": bounds.upper_raw}
+
+
 def _write_trace_csv(path, trace):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -278,9 +291,7 @@ def cmd_train(args):
     report = _report_base(args)
     report.update({
         "model_path": str(model_path),
-        "upper_bound": model.minimax_risk,
-        "lower_bound": model.lower_bound,
-        "raw_bounds": model.raw_bounds,
+        **_model_bounds(model),
         "n": data.n,
         "m": model.mu_star.size,
         "p": model.learning_rows,
@@ -379,9 +390,7 @@ def cmd_bounds(args):
 
     report = _report_base(args)
     report.update({
-        "upper_bound": model.minimax_risk,
-        "lower_bound": model.lower_bound,
-        "raw_bounds": model.raw_bounds,
+        **_model_bounds(model),
         "certificates": {
             "upper": model.solver_info.get("upper_certificate"),
             "lower": model.solver_info.get("lower_certificate"),
@@ -389,8 +398,7 @@ def cmd_bounds(args):
     })
     if det is not None:
         report["deterministic_rule"] = {
-            "lower": det.lower, "upper": det.upper,
-            "lower_raw": det.lower_raw, "upper_raw": det.upper_raw,
+            **_interval(det),
             "certificates": [det.runs["lower"].certificate,
                              det.runs["upper"].certificate],
             "timings": {side: run.timings for side, run in det.runs.items()},
@@ -406,11 +414,8 @@ def cmd_bounds(args):
             args.delta, prov["n"])
         lam_delta = np.maximum(model.uncertainty.lam, width)
     if lam_delta is not None:
-        hc = classifier.high_confidence_bounds(model, lam_delta)
-        report["high_confidence"] = {
-            "lower": hc.lower, "upper": hc.upper,
-            "lower_raw": hc.lower_raw, "upper_raw": hc.upper_raw,
-        }
+        report["high_confidence"] = _interval(
+            classifier.high_confidence_bounds(model, lam_delta))
 
     # rule_bounds may run a solve in a forked worker
     report["peak_rss_mb"] = _peak_rss_mb(children=True)
@@ -467,7 +472,11 @@ def cmd_reduce_study(args):
     spec = _spec_from_args(args, data)
     pool = _anchor_from_args(args, data.d)
     pool_n = data.n if pool is None else pool.shape[0]
-    for s in sizes:  # before any solve
+    if args.reps < 1:  # before any solve
+        raise DataError(f"--reps must be at least 1, got {args.reps}")
+    for s in sizes:
+        if s < 1:
+            raise DataError(f"--sizes must be at least 1, got {s}")
         if s > pool_n:
             raise DataError(f"anchor subset size {s} exceeds the pool size {pool_n}")
 
@@ -555,6 +564,13 @@ def cmd_model_select(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = load_csv(args.data, has_header=args.has_header)
+    # every split takes the same rows per class, so one check covers them all
+    test_rows = sum(split_test_rows(int(rows), args.test_fraction)
+                    for rows in np.bincount(data.labels)[1:])
+    if not 0 < test_rows < data.n:
+        empty = "test" if test_rows <= 0 else "training"
+        raise DataError(f"--test-fraction {args.test_fraction} leaves the {empty} "
+                        "split with no rows")
 
     def split_result(split_i):
         train_set, test_set = stratified_split(

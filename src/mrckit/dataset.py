@@ -313,13 +313,19 @@ def stratified_split(dataset, test_fraction, seed):
         if idx.size == 0:
             continue
         perm = rng.permutation(idx)
-        k = int(math.floor(idx.size * test_fraction + 0.5))
-        test_idx.extend(perm[:k].tolist())
+        test_idx.extend(perm[:split_test_rows(idx.size, test_fraction)].tolist())
     test_mask = np.zeros(dataset.n, dtype=bool)
     test_mask[test_idx] = True
     train_rows = np.flatnonzero(~test_mask)
     test_rows = np.flatnonzero(test_mask)
     return dataset.subset(train_rows), dataset.subset(test_rows)
+
+
+def split_test_rows(class_rows, test_fraction):
+    """The rows that stratified_split moves to the test split from a class
+    of `class_rows` rows, whatever the seed: class_rows · test_fraction
+    rounded to the nearest integer, halves up."""
+    return int(math.floor(class_rows * test_fraction + 0.5))
 
 
 def stratified_folds(dataset, num_folds, seed):

@@ -103,6 +103,33 @@ def test_sweep_folds_over_the_largest_class_is_an_input_error(blob_csv, tmp_path
     assert not (out / "sweep_lambda.csv").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--sizes", "0"), ("--sizes", "-3"),
+                                        ("--reps", "0"), ("--reps", "-2")])
+def test_reduce_study_below_one_is_an_input_error(blob_csv, tmp_path, capsys,
+                                                  monkeypatch, flag, value):
+    monkeypatch.setattr(classifier, "train", no_fit)
+    monkeypatch.setattr(classifier, "fit", no_fit)
+    out = tmp_path / "reduce"
+    argv = ["reduce-study", "--data", blob_csv, "--out", str(out), "--sizes", "20",
+            f"{flag}={value}"]
+    assert main(argv) == 1
+    assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+    assert not (out / "reduce_study.csv").exists()
+
+
+@pytest.mark.parametrize("fraction,empty", [("0.005", "test"), ("0.995", "training")])
+def test_model_select_empty_split_is_an_input_error(blob_csv, tmp_path, capsys,
+                                                    monkeypatch, fraction, empty):
+    # 30 rows per class: 30 · 0.005 rounds to 0 test rows, 30 · 0.995 to 30
+    monkeypatch.setattr(classifier, "train", no_fit)
+    out = tmp_path / "sel"
+    assert main(["model-select", "--data", blob_csv, "--out", str(out),
+                 "--test-fraction", fraction]) == 1
+    assert f"--test-fraction {fraction} leaves the {empty} split with no rows" \
+        in capsys.readouterr().err
+    assert not (out / "model_select.json").exists()
+
+
 def test_bounds_lambda_delta_add_and_mode_exclude_each_other(blob_csv, tmp_path, capsys):
     model = train_model(blob_csv, tmp_path / "train")
     with pytest.raises(SystemExit) as exc:

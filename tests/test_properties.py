@@ -1,4 +1,5 @@
-"""Property tests of the CSV readers and of `mrckit predict` (hypothesis)."""
+"""Property tests of the CSV readers, of `mrckit predict` and of the
+certified intervals (hypothesis)."""
 
 import contextlib
 import io
@@ -11,9 +12,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from mrckit import classifier, cli  # noqa: E402
+from mrckit import classifier, cli, estimate, features  # noqa: E402
 from mrckit.dataset import Dataset, load_csv, load_features, save_csv  # noqa: E402
-from conftest import make_blobs  # noqa: E402
+from mrckit.solver import SolverConfig  # noqa: E402
+from conftest import finite_distribution, make_blobs  # noqa: E402
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -109,3 +111,36 @@ def test_streamed_predictions_match_library_per_chunk(model_path, tmp_path_facto
                       for lab, p in zip(labels, proba.tolist())]
         expected = "".join(line + "\r\n" for line in lines).encode()
         assert (out / "predictions.csv").read_bytes() == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), support=st.integers(2, 12),
+       classes=st.integers(2, 3), widen=st.floats(0.0, 0.5))
+def test_every_interval_sandwiches_the_exact_risk(seed, support, classes, widen):
+    # tau is off the exact mean by e and lambda = 2|e|, so the distribution
+    # lies in the uncertainty set; by weak duality any mu certifies its
+    # bounds, so 50 ASM iterations suffice and no LP is solved
+    X, px, py, prob = finite_distribution(seed, support_size=support,
+                                          num_classes=classes)
+    spec = features.identity_spec(classes, 2)
+    tau_exact = sum(p * features.feature_map(spec, X[i], y)
+                    for i, y, p in zip(px, py, prob))
+    rng = np.random.default_rng([seed, 1])
+    e = rng.normal(size=tau_exact.size) * 0.05
+    unc = estimate.UncertaintySet(tau_exact + e, 2.0 * np.abs(e))
+    psi = features.scalar_feature_matrix(spec, X)
+    cfg = SolverConfig(method="asm", max_iters=50)
+    model = classifier.fit(unc, X, psi, spec, cfg, repair="never",
+                           label_names=tuple("abc"[:classes]))
+
+    def holds(lower, upper, risk):
+        return lower - 1e-9 <= risk <= upper + 1e-9
+
+    risk = classifier.exact_risk_finite(model, X[px], py, prob)
+    assert holds(model.lower_bound, model.minimax_risk, risk)
+    hc = classifier.high_confidence_bounds(model, unc.lam + widen)
+    assert holds(hc.lower, hc.upper, risk)
+    labels = np.argmax(features.score_matrix(spec, X, model.mu_star), axis=1)
+    for h in (np.eye(classes)[labels], rng.dirichlet(np.ones(classes), size=support)):
+        rb = classifier.rule_bounds(unc, psi, h, cfg)
+        assert holds(rb.lower, rb.upper, float(prob @ (1.0 - h[px, py - 1])))
