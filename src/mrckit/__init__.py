@@ -25,7 +25,8 @@ from .objective import (PiecewiseLinearProblem, build_learning_problem,
 from .solver import (DivergenceError, SolverConfig, SolverError, SolverRun,
                      UnboundedObjectiveError, solve, solve_asm, solve_bsm,
                      solve_easm, solve_easm_restart, solve_lp, subgradient)
-from .classifier import (MrcModel, bounds_for_rule, diagnostics, epsilon_s,
-                         evaluate, exact_risk_finite, fixed_marginal_proba,
-                         high_confidence_bounds, load_model, predict,
-                         predict_proba, rule_bounds, save_model, train)
+from .classifier import (MrcModel, bounds_for_rule, deterministic_rule_bounds,
+                         diagnostics, epsilon_s, evaluate, exact_risk_finite,
+                         fixed_marginal_proba, high_confidence_bounds, hoeffding_lambda,
+                         load_model, predict, predict_proba, rule_bounds, save_model,
+                         train)

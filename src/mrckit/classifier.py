@@ -20,7 +20,7 @@ import numpy as np
 from . import estimate, features, objective, parallel
 from .dataset import NormalizationStats, apply_normalizer, fit_normalizer
 from .solver import (FLOOR_TOLERANCE, SolverConfig, UnboundedObjectiveError,
-                     DivergenceError, solve)
+                     DivergenceError, lp_fits, solve)
 
 log = logging.getLogger(__name__)
 
@@ -69,8 +69,6 @@ def train(data, spec=None, *, lambda_mode="practical", lambda0=0.3, delta=0.05,
     set is empty: "auto" repairs after an unboundedness signal, "always"
     repairs up front, "never" propagates the error.
     """
-    if solver_config is None:
-        solver_config = SolverConfig()
     stats, X, spec, unc, psi = estimate_uncertainty(
         data, spec, lambda_mode=lambda_mode, lambda0=lambda0, delta=delta,
         rademacher_R=rademacher_R, normalize=normalize)
@@ -79,7 +77,7 @@ def train(data, spec=None, *, lambda_mode="practical", lambda0=0.3, delta=0.05,
         if stats is not None:
             X = (X - stats.mean) / stats.std
         psi = features.scalar_feature_matrix(spec, X)
-    return fit(unc, X, psi, spec, solver_config, variant=variant,
+    return fit(unc, X, psi, spec, solver_config or SolverConfig(), variant=variant,
                repair=repair, compute_lower=compute_lower,
                normalization=stats, label_names=data.label_names)
 
@@ -361,15 +359,49 @@ def rule_bounds(uncertainty, psi, h, solver_config=None):
     `psi` holds the pool's scalar features, (n, B), and `h` the rule
     evaluations h(y|x) as an (n, classes) matrix.
     """
-    if solver_config is None:
-        solver_config = SolverConfig()
     high = objective.build_upper_bound_problem(uncertainty, psi, h)
+    return _pair_bounds(high, solver_config or SolverConfig())
+
+
+def deterministic_rule_bounds(model, solver_config=None):
+    """rule_bounds of the model's deterministic rule over its anchor pool,
+    which is mapped once. A config without a method solves with the LP when
+    the problems fit it (lp_fits), and with easm_restart otherwise."""
+    psi = features.scalar_feature_matrix(model.feature_spec, model.instance_anchor)
+    labels = rule_rows(model, psi @ model.mu_star.reshape(model.num_classes, -1).T)[0]
+    high = objective.build_upper_bound_problem(model.uncertainty, psi,
+                                               np.eye(model.num_classes)[labels - 1])
+    cfg = solver_config or SolverConfig()
+    method = cfg.method or ("lp" if lp_fits(high) else "easm_restart")
+    return _pair_bounds(high, dataclasses.replace(cfg, method=method))
+
+
+def _pair_bounds(high, solver_config):
+    """The interval of upper-bound problem `high`, solved beside its negation."""
     low = objective.lower_from_upper(high)
-    # the two solves are independent, so they run side by side
     low_run, high_run = parallel.ordered_map(
         lambda problem: solve(problem, solver_config), [low, high])
     return RuleBounds(_lower_raw(low, low_run, high_run.best_value),
                       high_run.best_value, {"lower": low_run, "upper": high_run})
+
+
+def hoeffding_lambda(model, delta):
+    """max(lambda, the Hoeffding width at `delta`); C, family_size, n from provenance."""
+    prov = model.uncertainty.provenance
+    C, family_size, n = (_field_number(prov.get(key), f"provenance.{key}")
+                         for key in ("C", "family_size", "n"))
+    width = estimate.lambda_hoeffding(C, family_size, model.num_classes, delta, n)
+    return np.maximum(model.uncertainty.lam, width)
+
+
+def _widen(model, gap):
+    """How a confidence-vector change `gap` moves the model's bounds: the
+    corrections gap·|mu*| and gap·|mu_lower|, then the upper bound plus the
+    first and the lower bound less the second (lower ones NaN if unsolved)."""
+    upper = float(gap @ np.abs(model.mu_star))
+    lower = math.nan if model.mu_lower is None else float(gap @ np.abs(model.mu_lower))
+    moved = math.nan if model.lower_bound is None else model.lower_bound - lower
+    return upper, lower, model.minimax_risk + upper, moved
 
 
 def high_confidence_bounds(model, lambda_delta):
@@ -387,19 +419,17 @@ def high_confidence_bounds(model, lambda_delta):
         raise ValueError("lambda_delta must dominate the training lambda")
     if model.mu_lower is None or model.lower_bound is None:
         raise ValueError("model carries no lower-bound solve")
-    gap = lambda_delta - lam
-    hi_raw = model.minimax_risk + float(gap @ np.abs(model.mu_star))
-    lo_raw = model.lower_bound - float(gap @ np.abs(model.mu_lower))
-    return RuleBounds(lo_raw, hi_raw)
+    _, _, upper, lower = _widen(model, lambda_delta - lam)
+    return RuleBounds(lower, upper)
 
 
 @dataclass
 class DiagnosticsReport:
     upper_correction: float
     lower_correction: float
-    covered: bool
     corrected_upper: float
     corrected_lower: float
+    covered: bool
 
 
 def diagnostics(model, tau_inf):
@@ -414,17 +444,8 @@ def diagnostics(model, tau_inf):
     if tau_inf.shape != unc.tau.shape:
         raise ValueError("tau_inf has the wrong length")
     err = np.abs(tau_inf - unc.tau)
-    gap = err - unc.lam
-    upper_corr = float(gap @ np.abs(model.mu_star))
-    lower_corr = float(gap @ np.abs(model.mu_lower)) if model.mu_lower is not None else math.nan
     covered = bool(np.all(err <= unc.lam + 1e-12))
-    lower = model.lower_bound if model.lower_bound is not None else math.nan
-    return DiagnosticsReport(
-        upper_correction=upper_corr, lower_correction=lower_corr,
-        covered=covered,
-        corrected_upper=model.minimax_risk + upper_corr,
-        corrected_lower=lower - lower_corr,
-    )
+    return DiagnosticsReport(*_widen(model, err - unc.lam), covered)
 
 
 def exact_risk_finite(model, X, y, prob):
@@ -497,12 +518,36 @@ def _field_array(value, name, shape):
     return arr
 
 
-def _field_number(payload, name):
-    value = payload[name]
+def _field_number(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not math.isfinite(value):
         raise ValueError(f"model field {name!r} must be a finite number")
     return value
+
+
+def _field_spec(value):
+    """The feature map of a model file's 'feature_spec' object."""
+    if not isinstance(value, dict):
+        raise ValueError("model field 'feature_spec' must be an object")
+    # D and seed are null for the identity map
+    for key, least, nullable in (("num_classes", 1, False), ("d", 1, False),
+                                 ("D", 1, True), ("seed", 0, True)):
+        count = value.get(key)
+        if count is None and nullable:
+            continue
+        if isinstance(count, bool) or not isinstance(count, int) or count < least:
+            raise ValueError(f"model field 'feature_spec.{key}' must be an "
+                             f"integer of at least {least}")
+    for key in ("sigma", "feature_bound"):
+        if value.get(key) is not None:
+            _field_number(value[key], f"feature_spec.{key}")
+    if not isinstance(value.get("include_constant", False), bool):
+        raise ValueError("model field 'feature_spec.include_constant' must be "
+                         "true or false")
+    try:
+        return features.spec_from_dict(value)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"model field 'feature_spec' is malformed: {exc!r}") from None
 
 
 def load_model(path):
@@ -518,11 +563,11 @@ def load_model(path):
         raise ValueError(f"model file lacks the field(s) {', '.join(missing)}")
     if payload["variant"] not in ("standard", "fixed_marginal"):
         raise ValueError(f"model field 'variant' has unknown value {payload['variant']!r}")
-    try:
-        spec = features.spec_from_dict(payload["feature_spec"])
-        m = features.feature_dim(spec)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"model field 'feature_spec' is malformed: {exc!r}") from None
+    for name in ("provenance", "raw_bounds", "solver_info"):
+        if not isinstance(payload.get(name, {}), dict):
+            raise ValueError(f"model field {name!r} must be an object")
+    spec = _field_spec(payload["feature_spec"])
+    m = features.feature_dim(spec)
     d = spec.d
     norm = payload["normalization"]
     stats = None
@@ -541,10 +586,10 @@ def load_model(path):
     mu_lower = payload["mu_lower"]
     return MrcModel(
         mu_star=_field_array(payload["mu_star"], "mu_star", (m,)),
-        phi_star=_field_number(payload, "phi_star"),
-        minimax_risk=_field_number(payload, "minimax_risk"),
+        phi_star=_field_number(payload["phi_star"], "phi_star"),
+        minimax_risk=_field_number(payload["minimax_risk"], "minimax_risk"),
         lower_bound=None if payload["lower_bound"] is None
-        else _field_number(payload, "lower_bound"),
+        else _field_number(payload["lower_bound"], "lower_bound"),
         uncertainty=estimate.UncertaintySet(
             _field_array(payload["tau"], "tau", (m,)),
             _field_array(payload["lambda"], "lambda", (m,)),

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, classifier, estimate, features, objective, parallel
+from . import __version__, classifier, features, objective, parallel
 from .dataset import (DataError, apply_normalizer, block_features,
                       fit_normalizer, load_csv, load_features, no_data_rows,
                       record_blocks, split_test_rows, stratified_folds,
@@ -374,50 +374,30 @@ def cmd_bounds(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = classifier.load_model(args.model)
-    det = None
-    if args.deterministic:
-        # the anchor is mapped once: the one-hot rule is read off its scores
-        # and both bound problems are built on the same scalar features
-        psi = features.scalar_feature_matrix(model.feature_spec, model.instance_anchor)
-        labels = np.argmax(psi @ model.mu_star.reshape(model.num_classes, -1).T, axis=1)
-        rule = np.eye(model.num_classes)[labels]
-        if args.solver is None:  # flags.solver names the method that ran
-            # the lower problem is the upper one negated: the same size
-            high = objective.build_upper_bound_problem(model.uncertainty, psi, rule)
-            args.solver = "lp" if lp_fits(high) else "easm-restart"
-        det = classifier.rule_bounds(model.uncertainty, psi, rule,
-                                     _solver_config_from_args(args))
-
     report = _report_base(args)
-    report.update({
-        **_model_bounds(model),
-        "certificates": {
-            "upper": model.solver_info.get("upper_certificate"),
-            "lower": model.solver_info.get("lower_certificate"),
-        },
-    })
-    if det is not None:
+    if args.deterministic:
+        det = classifier.deterministic_rule_bounds(model, _solver_config_from_args(args))
+        # the method that ran; without --solver, the size of the problems picks it
+        report["flags"]["solver"] = det.runs["upper"].method.replace("_", "-")
         report["deterministic_rule"] = {
             **_interval(det),
-            "certificates": [det.runs["lower"].certificate,
-                             det.runs["upper"].certificate],
+            "certificates": [det.runs[side].certificate for side in ("lower", "upper")],
             "timings": {side: run.timings for side, run in det.runs.items()},
         }
+    report.update(_model_bounds(model), certificates={
+        side: model.solver_info.get(f"{side}_certificate")
+        for side in ("upper", "lower")})
 
     lam_delta = None
     if args.lambda_delta_add is not None:
         lam_delta = model.uncertainty.lam + args.lambda_delta_add
     elif args.lambda_delta_mode == "hoeffding":
-        prov = model.uncertainty.provenance
-        width = estimate.lambda_hoeffding(
-            prov["C"], prov["family_size"], model.num_classes,
-            args.delta, prov["n"])
-        lam_delta = np.maximum(model.uncertainty.lam, width)
+        lam_delta = classifier.hoeffding_lambda(model, args.delta)
     if lam_delta is not None:
         report["high_confidence"] = _interval(
             classifier.high_confidence_bounds(model, lam_delta))
 
-    # rule_bounds may run a solve in a forked worker
+    # the deterministic rule's two solves may run one in a forked worker
     report["peak_rss_mb"] = _peak_rss_mb(children=True)
     path = _write_report(out_dir, "bounds.json", report)
     print(f"wrote {path}")

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mrckit import classifier, cli, features, objective, parallel
+from mrckit import classifier, cli, estimate, features, objective, parallel
 from mrckit.cli import main
 from mrckit.dataset import save_csv
+from mrckit.solver import SolverConfig
 from conftest import make_blobs
 
 
@@ -635,6 +636,56 @@ def test_bounds_default_solver_follows_problem_size(blob_csv, tmp_path):
         rep = json.loads((out / "bounds.json").read_text())
         assert rep["flags"]["solver"] == solver
         assert rep["deterministic_rule"]["certificates"] == [certificate] * 2
+
+
+def test_deterministic_rule_bounds_is_what_bounds_writes(blob_csv, tmp_path):
+    # both default cases: E-ASM-R past the LP limits (rff) and the LP (identity)
+    rff, ident = tmp_path / "rff", tmp_path / "ident"
+    assert run_cli("train", "--data", blob_csv, "--out", str(rff),
+                   "--max-iters", "200") == 0
+    assert run_cli(*train_args(blob_csv, str(ident))) == 0
+    for model_dir, method in ((rff, "easm_restart"), (ident, "lp")):
+        out = model_dir / "bounds"
+        assert run_cli("bounds", "--model", str(model_dir / "model.json"),
+                       "--out", str(out), "--deterministic", "--max-iters", "200") == 0
+        written = json.loads((out / "bounds.json").read_text())["deterministic_rule"]
+        model = classifier.load_model(str(model_dir / "model.json"))
+        det = classifier.deterministic_rule_bounds(model, SolverConfig(max_iters=200))
+        assert (det.lower_raw, det.upper_raw) == (written["lower_raw"],
+                                                  written["upper_raw"])
+        assert [det.runs[side].method for side in ("lower", "upper")] == [method] * 2
+        assert written["certificates"] == [det.runs["lower"].certificate,
+                                           det.runs["upper"].certificate]
+
+
+@pytest.mark.parametrize("solver", [(), ("--solver", "asm")], ids=["default", "asm"])
+def test_bounds_deterministic_builds_upper_problem_once(blob_csv, tmp_path, monkeypatch,
+                                                        solver):
+    out = str(tmp_path / "out")
+    run_cli(*train_args(blob_csv, out))
+    built = []
+    build = objective.build_upper_bound_problem
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(objective, "build_upper_bound_problem", counting)
+    code = run_cli("bounds", "--model", os.path.join(out, "model.json"),
+                   "--out", str(tmp_path / "bounds"), "--deterministic",
+                   "--max-iters", "50", *solver)
+    assert code == 0
+    assert len(built) == 1
+
+
+def test_hoeffding_lambda_reads_provenance(blob_csv, tmp_path):
+    out = tmp_path / "out"
+    run_cli(*train_args(blob_csv, str(out)))
+    model = classifier.load_model(str(out / "model.json"))
+    prov = model.uncertainty.provenance
+    width = estimate.lambda_hoeffding(prov["C"], prov["family_size"], 2, 0.1, prov["n"])
+    assert np.array_equal(classifier.hoeffding_lambda(model, 0.1),
+                          np.maximum(model.uncertainty.lam, width))
 
 
 def test_bounds_rejects_small_lambda_delta(blob_csv, tmp_path):

@@ -2,7 +2,9 @@
 certified intervals (hypothesis)."""
 
 import contextlib
+import copy
 import io
+import json
 import os
 from unittest import mock
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from mrckit import classifier, cli, estimate, features  # noqa: E402
 from mrckit.dataset import Dataset, load_csv, load_features, save_csv  # noqa: E402
@@ -144,3 +146,143 @@ def test_every_interval_sandwiches_the_exact_risk(seed, support, classes, widen)
     for h in (np.eye(classes)[labels], rng.dirichlet(np.ones(classes), size=support)):
         rb = classifier.rule_bounds(unc, psi, h, cfg)
         assert holds(rb.lower, rb.upper, float(prob @ (1.0 - h[px, py - 1])))
+
+
+@pytest.fixture(scope="module")
+def rff_model(tmp_path_factory):
+    """The payload of a tiny model on D = 3 random features, and the path
+    of a 20-row file that `predict` reads."""
+    root = tmp_path_factory.mktemp("rff")
+    data = root / "blobs.csv"
+    save_csv(make_blobs(20, d=2, seed=0, sep=3.0), data)
+    assert cli.main(["train", "--data", str(data), "--out", str(root), "--D", "3",
+                     "--max-iters", "50", "--seed", "1"]) == 0
+    return json.loads((root / "model.json").read_text()), str(data)
+
+
+# every field of model.json, and every field of its object-valued fields
+MODEL_FIELDS = [(name,) for name in (
+    "format_version", "variant", "mu_star", "phi_star", "minimax_risk",
+    "lower_bound", "mu_lower", "tau", "lambda", "provenance", "feature_spec",
+    "normalization", "instance_anchor", "label_names", "raw_bounds", "solver_info")]
+MODEL_FIELDS += [("feature_spec", name) for name in (
+    "kind", "num_classes", "d", "D", "sigma", "seed", "include_constant",
+    "feature_bound", "rng")]
+MODEL_FIELDS += [("normalization", "mean"), ("normalization", "std"),
+                 ("raw_bounds", "upper"), ("raw_bounds", "lower")]
+MODEL_FIELDS += [("provenance", name) for name in (
+    "lambda_mode", "delta", "lambda0", "rademacher_R", "C", "family_size", "n")]
+MODEL_FIELDS += [("solver_info", name) for name in (
+    "method", "status", "iterations", "upper_certificate", "lower_certificate",
+    "notices")]
+
+DROP, LONGER = "<drop>", "<one element longer>"
+REPLACEMENTS = [DROP, None, "x", True, False, 1.5, 0, -1, 3, [1.0], {"a": 1},
+                LONGER, float("nan")]
+
+
+def mutated(payload, path, value):
+    """A copy of `payload` with the field at `path` dropped or replaced."""
+    payload = copy.deepcopy(payload)
+    *parents, name = path
+    holder = payload
+    for parent in parents:
+        holder = holder[parent]
+    if value == DROP:
+        del holder[name]
+    elif value == LONGER:
+        old = holder[name]
+        holder[name] = [0.5] * (len(old) + 1 if isinstance(old, list) else 2)
+    else:
+        holder[name] = value
+    return payload
+
+
+def run_on_model(payload, data, root):
+    """(command, exit code, standard error) of `predict` and of a tiny-budget
+    `bounds --deterministic --lambda-delta-mode hoeffding` on `payload`."""
+    bad = root / "model.json"
+    bad.write_text(json.dumps(payload))
+    commands = {
+        "predict": ["--data", data],
+        "bounds": ["--deterministic", "--lambda-delta-mode", "hoeffding",
+                   "--solver", "asm", "--max-iters", "20"],
+    }
+    results = []
+    for command, flags in commands.items():
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--model", str(bad), "--out",
+                             str(root / command), *flags])
+        results.append((command, code, err.getvalue()))
+    return results
+
+
+# the model-file defects that once ended these commands in a traceback
+DEFECTS = [
+    (("provenance",), DROP, "bounds", "provenance.C"),
+    (("provenance",), "x", "predict", "provenance"),
+    (("provenance", "family_size"), DROP, "bounds", "provenance.family_size"),
+    (("provenance", "n"), "x", "bounds", "provenance.n"),
+    (("solver_info",), [1.0], "bounds", "solver_info"),
+    (("feature_spec", "seed"), 1.5, "predict", "feature_spec.seed"),
+    (("feature_spec", "seed"), "x", "bounds", "feature_spec.seed"),
+    (("feature_spec", "d"), None, "predict", "feature_spec.d"),
+    (("raw_bounds",), "x", "bounds", "raw_bounds"),
+]
+
+
+@pytest.mark.parametrize("path,value,command,field", DEFECTS)
+def test_model_file_defect_names_its_field(rff_model, tmp_path, path, value, command,
+                                          field):
+    payload, data = rff_model
+    results = {name: (code, err) for name, code, err in
+               run_on_model(mutated(payload, path, value), data, tmp_path)}
+    code, err = results[command]
+    assert code == 1
+    assert err.startswith(f"error: model field '{field}'")
+
+
+def _examples(test):
+    for path, value, _, _ in DEFECTS:
+        test = example(path=path, value=value)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(path=st.sampled_from(MODEL_FIELDS), value=st.sampled_from(REPLACEMENTS))
+@_examples
+def test_malformed_model_file_ends_with_an_exit_code(rff_model, tmp_path_factory, path,
+                                                     value):
+    payload, data = rff_model
+    root = tmp_path_factory.mktemp("mutated")
+    for command, code, err in run_on_model(mutated(payload, path, value), data, root):
+        assert code in (0, 1, 2), (command, code)
+        if code:
+            assert err.startswith(("error: ", "solver error: ")), (command, err)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["rff", "identity"]), include_constant=st.booleans(),
+       variant=st.sampled_from(["standard", "fixed_marginal"]),
+       method=st.sampled_from(["lp", "asm"]), normalize=st.booleans(),
+       file_anchor=st.booleans(), lambda_mode=st.sampled_from(["practical", "hoeffding"]),
+       seed=st.integers(0, 3))
+def test_model_file_round_trips_byte_for_byte(tmp_path_factory, kind, include_constant,
+                                              variant, method, normalize, file_anchor,
+                                              lambda_mode, seed):
+    if variant == "fixed_marginal":
+        method = "asm"  # the LP needs a max over rows
+    spec = (features.rff_spec(2, 2, D=3, seed=seed, include_constant=include_constant)
+            if kind == "rff" else features.identity_spec(2, 2, include_constant))
+    # a foreign pool may leave the fixed-marginal set empty, repair or not
+    anchor = (make_blobs(8, d=2, seed=seed + 10).instances
+              if file_anchor and variant == "standard" else None)
+    model = classifier.train(
+        make_blobs(20, d=2, seed=seed), spec, lambda_mode=lambda_mode,
+        solver_config=SolverConfig(method=method, max_iters=50), anchor=anchor,
+        variant=variant, normalize=normalize)
+    root = tmp_path_factory.mktemp("save")
+    classifier.save_model(model, root / "saved.json")
+    classifier.save_model(classifier.load_model(root / "saved.json"), root / "again.json")
+    assert (root / "saved.json").read_bytes() == (root / "again.json").read_bytes()
