@@ -159,7 +159,7 @@ def fit(uncertainty, anchor, psi, spec, solver_config, *, variant="standard",
         raise ValueError(f"unknown variant {variant!r}")
     notices = []
     if repair == "always":
-        uncertainty, changed = _repair(uncertainty, psi, spec.num_classes)
+        uncertainty, changed = _repair(uncertainty, psi, spec.num_classes, variant)
         if changed:
             notices.append("uncertainty set repaired up front")
             log.info("feasibility repair adjusted the uncertainty set")
@@ -175,7 +175,7 @@ def fit(uncertainty, anchor, psi, spec, solver_config, *, variant="standard",
             raise
         log.warning("solve failed (%s); repairing the uncertainty set", exc)
         notices.append(f"repaired after: {exc}")
-        model = solve_on(_repair(uncertainty, psi, spec.num_classes)[0])
+        model = solve_on(_repair(uncertainty, psi, spec.num_classes, variant)[0])
     model.solver_info["notices"] = notices
     return model
 
@@ -234,8 +234,8 @@ def _lower_raw(low, run, upper_raw):
     return lower_raw
 
 
-def _repair(unc, psi, num_classes):
-    tau2, lam2 = estimate.ensure_feasible(unc.tau, unc.lam, psi, num_classes)
+def _repair(unc, psi, num_classes, variant):
+    tau2, lam2 = estimate.ensure_feasible(unc.tau, unc.lam, psi, num_classes, variant)
     changed = not (np.array_equal(tau2, unc.tau) and np.array_equal(lam2, unc.lam))
     prov = dict(unc.provenance)
     prov["repaired"] = changed

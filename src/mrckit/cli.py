@@ -54,6 +54,17 @@ def child_seed(master, counter):
     return [int(master), int(counter)]
 
 
+def _positive_int(text):
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # One definition per flag; each command adds exactly the flags it reads.
 FLAGS = {
     "--data": dict(required=True, help="CSV file, label in the last column"),
@@ -68,12 +79,11 @@ FLAGS = {
     "--lambda0": dict(type=float, default=0.3),
     "--delta": dict(type=float, default=0.05),
     "--rademacher-R": dict(dest="rademacher_R", type=float, default=None),
-    "--solver": dict(default="easm-restart", choices=SOLVER_CHOICES,
-                     help="default easm-restart; train runs asm for the "
-                          "fixed-marginal variant, and bounds lp when the "
-                          "bound problems fit it"),
-    "--max-iters": dict(type=int, default=200_000),
-    "--restart-period": dict(type=int, default=10_000),
+    "--solver": dict(default=None, choices=SOLVER_CHOICES,
+                     help="solver method (default: the library chooses it "
+                          "from the problem)"),
+    "--max-iters": dict(type=_positive_int, default=200_000),
+    "--restart-period": dict(type=_positive_int, default=10_000),
     "--anchor": dict(default="train",
                      help="'train' or 'file:<path>' with extra instances"),
     "--seed": dict(type=int, default=0),
@@ -109,8 +119,6 @@ def build_parser():
     p_train.add_argument("--repair", choices=["auto", "always", "never"],
                          default="auto")
     p_train.add_argument("--trace-every", type=_positive_int, default=100)
-    # without --solver, solver.solve picks the method from the variant
-    p_train.set_defaults(solver=None)
 
     p_pred = command("predict", "predict labels with a saved model",
                      "--model", "--data", "--has-header", "--out")
@@ -125,8 +133,6 @@ def build_parser():
                        help="high-confidence interval with lambda_delta = lambda + c")
     width.add_argument("--lambda-delta-mode", choices=["hoeffding"], default=None,
                        help="derive lambda_delta from the stored provenance")
-    # without --solver, the size of the bound problems picks it
-    p_bounds.set_defaults(solver=None)
 
     p_sweep = command("sweep-lambda", "bounds and errors along a lambda0 grid",
                       "--data", "--has-header", *FEATURE_FLAGS, *SOLVER_FLAGS,
@@ -154,21 +160,10 @@ def build_parser():
                             "10th/90th distance percentiles)")
     p_sel.add_argument("--splits", type=int, default=20)
     p_sel.add_argument("--test-fraction", type=float, default=0.2)
-    p_sel.add_argument("--select-max-iters", type=int, default=20_000)
+    p_sel.add_argument("--select-max-iters", type=_positive_int, default=20_000)
     p_sel.set_defaults(features="rff")  # it tunes the kernel scale
 
     return parser
-
-
-def _positive_int(text):
-    """argparse type of a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _spec_from_args(args, data, seed_counter=0, sigma=None):
@@ -262,6 +257,14 @@ def _interval(bounds):
             "lower_raw": bounds.lower_raw, "upper_raw": bounds.upper_raw}
 
 
+def _run(run):
+    """The report fields of a solver.SolverRun."""
+    return {"method": run.method, "status": run.status,
+            "certificate": run.certificate, "best_value": run.best_value,
+            "sparsity_gamma": run.sparsity_gamma, "value_drift": run.value_drift,
+            **run.timings}
+
+
 def _write_trace_csv(path, trace):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -282,7 +285,7 @@ def cmd_train(args):
         anchor=_anchor_from_args(args, data.d),
         variant=args.variant.replace("-", "_"), repair=args.repair,
     )
-    args.solver = model.solver_info["method"].replace("_", "-")  # the one that ran
+    args.solver = model.runs["upper"].method.replace("_", "-")  # the one that ran
     model_path = out_dir / "model.json"
     classifier.save_model(model, model_path)
 
@@ -296,7 +299,7 @@ def cmd_train(args):
         "m": model.mu_star.size,
         "p": model.learning_rows,
         "solver": model.solver_info,
-        "timings": {side: run.timings for side, run in model.runs.items()},
+        "runs": {side: _run(run) for side, run in model.runs.items()},
         "trace_path": str(trace_path),
         "peak_rss_mb": _peak_rss_mb(),
     })
@@ -377,12 +380,10 @@ def cmd_bounds(args):
     report = _report_base(args)
     if args.deterministic:
         det = classifier.deterministic_rule_bounds(model, _solver_config_from_args(args))
-        # the method that ran; without --solver, the size of the problems picks it
         report["flags"]["solver"] = det.runs["upper"].method.replace("_", "-")
         report["deterministic_rule"] = {
             **_interval(det),
-            "certificates": [det.runs[side].certificate for side in ("lower", "upper")],
-            "timings": {side: run.timings for side, run in det.runs.items()},
+            "runs": {side: _run(run) for side, run in det.runs.items()},
         }
     report.update(_model_bounds(model), certificates={
         side: model.solver_info.get(f"{side}_certificate")
@@ -521,18 +522,16 @@ def cmd_bench_solvers(args):
         trace_path = out_dir / f"trace_{name}.csv"
         _write_trace_csv(trace_path, run.trace)
         summary["methods"][name] = {
-            "best_value": run.best_value,
+            **_run(run),
             "initial_value": run.trace[0][2] if run.trace else None,
-            **run.timings,
-            "gamma": run.sparsity_gamma,
             "trace": str(trace_path),
         }
     if lp_fits(problem):
-        lp_run = solve(problem, SolverConfig(method="lp"))
-        summary["lp_optimum"] = lp_run.best_value
+        lp_optimum = _run(solve(problem, SolverConfig(method="lp")))["best_value"]
+        summary["lp_optimum"] = lp_optimum
         for name in methods:
             summary["methods"][name]["gap_to_lp"] = (
-                summary["methods"][name]["best_value"] - lp_run.best_value)
+                summary["methods"][name]["best_value"] - lp_optimum)
     path = _write_report(out_dir, "bench.json", {**_report_base(args), **summary})
     print(f"wrote {path}")
     return EXIT_OK

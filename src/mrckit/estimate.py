@@ -134,20 +134,23 @@ def lambda_practical(lambda0, variance, n):
     return lambda0 * np.sqrt(variance / n)
 
 
-def ensure_feasible(tau, lam, psi, num_classes):
+def ensure_feasible(tau, lam, psi, num_classes, variant="standard"):
     """Widen/re-center (tau, lam) so the pool-restricted set is nonempty.
 
     `psi` holds the pool's scalar features, (s, B). Solves the exact LP that
     minimally enlarges the confidence vector while shifting the mean, over
-    distributions supported on the pool's instances and all labels. Returns
-    (tau~, lam~) with lam~ >= lam; inputs that are already feasible come
-    back unchanged.
+    distributions supported on the pool's instances and all labels; for the
+    "fixed_marginal" variant, only over those whose instance marginal is
+    uniform on the pool. Returns (tau~, lam~) with lam~ >= lam; inputs that
+    are already feasible come back unchanged.
     """
     tau = np.asarray(tau, dtype=float)
     lam = np.asarray(lam, dtype=float)
     s, B = psi.shape
     if s == 0:
         raise ValueError("ensure_feasible needs a nonempty instance list")
+    if variant not in ("standard", "fixed_marginal"):
+        raise ValueError(f"unknown variant {variant!r}")
     K = num_classes
     m = K * B
     if tau.size != m:
@@ -160,10 +163,15 @@ def ensure_feasible(tau, lam, psi, num_classes):
 
     # Variables: q (s*K), d1 (m), d2 (m), g1 (m), g2 (m) with
     # lam1 = lam + d1, lam2 = lam + d2 and g1, g2 surplus/slack.
+    # q sums to 1, or puts mass 1/s on each instance (fixed marginal)
+    if variant == "fixed_marginal":
+        marginal, mass = np.kron(np.eye(s), np.ones((1, K))), np.full(s, 1.0 / s)
+    else:
+        marginal, mass = np.ones((1, s * K)), np.ones(1)
     nq = s * K
     nvar = nq + 4 * m
-    A = np.zeros((2 * m + 1, nvar))
-    rhs = np.empty(2 * m + 1)
+    A = np.zeros((2 * m + len(mass), nvar))
+    rhs = np.empty(2 * m + len(mass))
     A[:m, :nq] = phi_T
     A[:m, nq:nq + m] = np.eye(m)
     A[:m, nq + 2 * m:nq + 3 * m] = -np.eye(m)
@@ -172,8 +180,8 @@ def ensure_feasible(tau, lam, psi, num_classes):
     A[m:2 * m, nq + m:nq + 2 * m] = -np.eye(m)
     A[m:2 * m, nq + 3 * m:] = np.eye(m)
     rhs[m:2 * m] = tau + lam
-    A[2 * m, :nq] = 1.0
-    rhs[2 * m] = 1.0
+    A[2 * m:, :nq] = marginal
+    rhs[2 * m:] = mass
 
     cost = np.zeros(nvar)
     cost[nq:nq + 2 * m] = 1.0

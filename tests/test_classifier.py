@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from mrckit.classifier import (MrcModel, bounds_for_rule, diagnostics,
                                fixed_marginal_proba, high_confidence_bounds,
                                load_model, predict, predict_proba, save_model,
                                train)
-from mrckit.dataset import Dataset
+from mrckit.cli import main
+from mrckit.dataset import Dataset, save_csv
 from mrckit.solver import SolverConfig, solve
 from conftest import finite_distribution, make_blobs
 
@@ -409,3 +411,27 @@ def test_rff_default_spec_from_data():
     assert model.feature_spec.kind == features.KIND_RFF
     assert model.feature_spec.D == 500
     assert model.feature_spec.sigma == pytest.approx(math.sqrt(1.5))
+
+
+@pytest.mark.parametrize("cfg", [LP, SolverConfig(max_iters=2000)], ids=["lp", "default"])
+def test_train_with_an_absent_class(tmp_path, cfg):
+    # a training split can lack a label (a small class in a fold or a split):
+    # the model still has a score and a probability column for it
+    ds = make_blobs(90, d=2, num_classes=3, seed=0)
+    model = train(ds.subset(np.flatnonzero(ds.labels != 3)),
+                  features.rff_spec(3, 2, D=10, seed=0), solver_config=cfg)
+    assert 0.0 <= model.lower_bound <= model.minimax_risk <= 1.0
+    assert model.label_names == ("1", "2", "3")
+    path, again = tmp_path / "model.json", tmp_path / "again.json"
+    save_model(model, path)
+    save_model(load_model(path), again)
+    assert path.read_bytes() == again.read_bytes()
+    data = tmp_path / "all.csv"
+    save_csv(ds, data)
+    assert main(["predict", "--model", str(path), "--data", str(data), "--proba",
+                 "--out", str(tmp_path / "pred")]) == 0
+    with open(tmp_path / "pred" / "predictions.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["label", "p_1", "p_2", "p_3"]
+    proba = np.array(rows[1:])[:, 1:].astype(float)
+    assert proba.shape == (90, 3) and np.allclose(proba.sum(axis=1), 1.0)

@@ -130,7 +130,7 @@ def test_solve_timings_in_reports_not_in_model(blob_csv, tmp_path):
                        "--max-iters", "300", "--seed", "1") == 0
         models.append((out / "model.json").read_bytes())
         report = json.loads((out / "report.json").read_text())
-        assert sorted(report["timings"]) == ["lower", "upper"]
+        assert sorted(report["runs"]) == ["lower", "upper"]
     assert models[0] == models[1]
     assert b"loop_seconds" not in models[0]
     code = run_cli("bounds", "--model", str(tmp_path / "a" / "model.json"),
@@ -138,13 +138,58 @@ def test_solve_timings_in_reports_not_in_model(blob_csv, tmp_path):
                    "--solver", "easm-restart", "--max-iters", "300")
     assert code == 0
     rep = json.loads((tmp_path / "bounds" / "bounds.json").read_text())
-    for timings in (report["timings"], rep["deterministic_rule"]["timings"]):
+    for timings in (report["runs"], rep["deterministic_rule"]["runs"]):
         for side in ("lower", "upper"):
             t = timings[side]
             assert 0 < t["iterations"] <= 300
             assert t["precompute_seconds"] > 0 and t["loop_seconds"] > 0
             assert t["us_per_iteration"] == pytest.approx(
                 1e6 * t["loop_seconds"] / t["iterations"])
+
+
+def test_every_solve_reports_the_same_fields(blob_csv, tmp_path):
+    # train's E-ASM-R pair, bounds' LP pair and each bench method share one
+    # writer, so a solve's fields do not depend on the command or the method
+    out = tmp_path / "train"
+    assert run_cli("train", "--data", blob_csv, "--out", str(out), "--D", "10",
+                   "--max-iters", "300", "--seed", "1") == 0
+    report = json.loads((out / "report.json").read_text())
+    assert run_cli("bounds", "--model", str(out / "model.json"), "--out",
+                   str(tmp_path / "bounds"), "--deterministic") == 0
+    det = json.loads((tmp_path / "bounds" / "bounds.json").read_text())
+    assert run_cli("bench-solvers", "--data", blob_csv, "--out", str(tmp_path / "bench"),
+                   "--features", "identity", "--max-iters", "300") == 0
+    methods = json.loads((tmp_path / "bench" / "bench.json").read_text())["methods"]
+    fields = set(report["runs"]["upper"])
+    assert {"method", "status", "certificate", "best_value", "sparsity_gamma",
+            "value_drift", "iterations", "loop_seconds"} <= fields
+    for runs in (report["runs"], det["deterministic_rule"]["runs"]):
+        assert sorted(runs) == ["lower", "upper"]
+        assert all(set(run) == fields for run in runs.values())
+    assert [run["method"] for run in det["deterministic_rule"]["runs"].values()] \
+        == ["lp", "lp"]
+    assert len(methods) == 4
+    for run in methods.values():
+        assert set(run) - {"initial_value", "trace", "gap_to_lp"} == fields
+    # flags.solver names the method that ran
+    assert report["flags"]["solver"] == "easm-restart"
+    assert report["runs"]["upper"]["method"] == "easm_restart"
+    assert det["flags"]["solver"] == "lp"
+
+
+def test_studies_leave_the_default_method_to_the_library(blob_csv, tmp_path):
+    # without --solver the flag reads null, and solver.solve runs E-ASM-R on
+    # the sweep's standard-variant problems
+    tables, flags = [], []
+    for name, solver in (("default", ()), ("named", ("--solver", "easm-restart"))):
+        out = tmp_path / name
+        assert run_cli("sweep-lambda", "--data", blob_csv, "--out", str(out),
+                       "--features", "identity", "--max-iters", "300", "--lambda0-grid",
+                       "0.3", "--folds", "2", "--seed", "2", *solver) == 0
+        tables.append((out / "sweep_lambda.csv").read_bytes())
+        flags.append(json.loads((out / "report.json").read_text())["flags"]["solver"])
+    assert tables[0] == tables[1]
+    assert flags == [None, "easm-restart"]
 
 
 def test_predict_command(blob_csv, tmp_path):
@@ -635,7 +680,8 @@ def test_bounds_default_solver_follows_problem_size(blob_csv, tmp_path):
         assert code == 0
         rep = json.loads((out / "bounds.json").read_text())
         assert rep["flags"]["solver"] == solver
-        assert rep["deterministic_rule"]["certificates"] == [certificate] * 2
+        assert [rep["deterministic_rule"]["runs"][side]["certificate"]
+                for side in ("lower", "upper")] == [certificate] * 2
 
 
 def test_deterministic_rule_bounds_is_what_bounds_writes(blob_csv, tmp_path):
@@ -654,8 +700,8 @@ def test_deterministic_rule_bounds_is_what_bounds_writes(blob_csv, tmp_path):
         assert (det.lower_raw, det.upper_raw) == (written["lower_raw"],
                                                   written["upper_raw"])
         assert [det.runs[side].method for side in ("lower", "upper")] == [method] * 2
-        assert written["certificates"] == [det.runs["lower"].certificate,
-                                           det.runs["upper"].certificate]
+        assert [written["runs"][side]["certificate"] for side in ("lower", "upper")] \
+            == [det.runs["lower"].certificate, det.runs["upper"].certificate]
 
 
 @pytest.mark.parametrize("solver", [(), ("--solver", "asm")], ids=["default", "asm"])
@@ -775,7 +821,7 @@ def test_bench_solvers(blob_csv, tmp_path):
     assert "lp_optimum" in rep
     for name in methods:
         assert methods[name]["best_value"] >= rep["lp_optimum"] - 1e-9
-        assert methods[name]["gamma"] is not None
+        assert methods[name]["sparsity_gamma"] is not None
         assert methods[name]["precompute_seconds"] >= 0.0
     assert methods["bsm"]["precompute_seconds"] == 0.0
     assert methods["easm"]["precompute_seconds"] > 0.0

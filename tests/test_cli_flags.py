@@ -73,6 +73,23 @@ def test_trace_every_below_one_is_a_usage_error(tmp_path, capsys, command, value
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--max-iters"),
+    ("train", "--restart-period"),
+    ("reduce-study", "--max-iters"),
+    ("model-select", "--select-max-iters"),
+])
+def test_zero_count_is_a_usage_error(tmp_path, capsys, command, flag):
+    # the data file does not exist: a command that ran would exit 1
+    argv = [command, "--data", str(tmp_path / "absent.csv"), "--out",
+            str(tmp_path / "o"), *REQUIRED[command], flag, "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def no_fit(*args, **kwargs):
     pytest.fail("a model was fitted")
 

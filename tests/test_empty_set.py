@@ -113,3 +113,41 @@ def test_train_empty_pool_under_every_solver():
                                  anchor=np.zeros((2, 2)), normalize=False)
         assert model.uncertainty.provenance["repaired"] is True
         assert model.solver_info["notices"]
+
+
+@pytest.mark.parametrize("repair", ["auto", "always"])
+def test_fixed_marginal_repair_keeps_the_pool_marginal(tmp_path, capsys, repair):
+    # on this foreign pool the fixed-marginal set is empty; a repair that
+    # lets the instance marginal move off uniform still leaves it empty
+    data, pool = make_blobs(20, d=2, seed=0), make_blobs(8, d=2, seed=10).instances
+    model = classifier.train(data, features.rff_spec(2, 2, D=3, seed=0),
+                             variant="fixed_marginal", anchor=pool, normalize=False,
+                             solver_config=SolverConfig(method="asm", max_iters=50),
+                             repair=repair)
+    assert model.uncertainty.provenance["repaired"] is True
+    assert len(model.solver_info["notices"]) == 1
+    assert 0.0 <= model.minimax_risk <= 0.5
+    save_csv(data, tmp_path / "data.csv")
+    np.savetxt(tmp_path / "pool.csv", pool, delimiter=",")
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(tmp_path / "data.csv"), "--D", "3", "--seed", "0",
+                 "--variant", "fixed-marginal", "--anchor", f"file:{tmp_path / 'pool.csv'}",
+                 "--max-iters", "50", "--repair", repair, "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["runs"]["upper"]["method"] == "asm"
+    assert 0.0 <= report["upper_bound"] <= 0.5
+
+
+def test_fixed_marginal_repair_puts_mass_one_over_s_on_each_instance():
+    # a scalar feature of 1 and -1 on a pool of two: class 1's mean 0.9 fits
+    # a distribution on the pool, but none that puts 1/2 on each instance
+    psi = np.array([[1.0], [-1.0]])
+    tau, lam = np.array([0.9, 0.0]), np.zeros(2)
+    std_tau, std_lam = estimate.ensure_feasible(tau, lam, psi, 2)
+    fm_tau, fm_lam = estimate.ensure_feasible(tau, lam, psi, 2, "fixed_marginal")
+    assert np.array_equal(std_tau, tau) and np.allclose(std_lam, 0.0)
+    assert np.all(np.abs(fm_tau - tau) <= fm_lam + 1e-9)
+    assert fm_tau[0] - fm_lam[0] <= 0.5 + 1e-9
+    with pytest.raises(ValueError, match="unknown variant"):
+        estimate.ensure_feasible(tau, lam, psi, 2, "fixed-marginal")
