@@ -15,18 +15,15 @@ __version__ = "0.1.0"
 from .dataset import (Dataset, DataError, NormalizationStats, apply_normalizer,
                       fit_normalizer, load_csv, save_csv, stratified_split)
 from .features import (FeatureMapSpec, default_sigma, feature_map, identity_spec,
-                       rff_spec, scalar_features)
+                       rff_spec)
 from .estimate import (UncertaintySet, ensure_feasible, lambda_bernstein,
-                       lambda_hoeffding, lambda_practical, lambda_rademacher,
-                       mean_vector)
+                       lambda_hoeffding, lambda_practical, lambda_rademacher)
 from .objective import (PiecewiseLinearProblem, build_learning_problem,
                         build_upper_bound_problem, learning_problem,
-                        lower_from_upper, phi, phi_at_x)
+                        lower_from_upper, phi)
 from .solver import (DivergenceError, SolverConfig, SolverError, SolverRun,
                      UnboundedObjectiveError, solve, solve_asm, solve_bsm,
-                     solve_easm, solve_easm_restart, solve_lp, subgradient)
-from .classifier import (MrcModel, bounds_for_rule, deterministic_rule_bounds,
-                         diagnostics, epsilon_s, evaluate, exact_risk_finite,
-                         fixed_marginal_proba, high_confidence_bounds, hoeffding_lambda,
-                         load_model, predict, predict_proba, rule_bounds, save_model,
-                         train)
+                     solve_easm, solve_easm_restart, solve_lp)
+from .classifier import (MrcModel, deterministic_rule_bounds, epsilon_s, evaluate,
+                         high_confidence_bounds, hoeffding_lambda, load_model,
+                         predict, predict_proba, rule_bounds, save_model, train)

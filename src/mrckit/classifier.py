@@ -302,18 +302,6 @@ def predict_proba(model, X):
     return rule_from_scores(model, batch_scores(model, X))[1]
 
 
-def rule_normalizer(model, X):
-    """The per-instance normalization constant of the randomized rule."""
-    return np.maximum(batch_scores(model, X) - model.phi_star, 0.0).sum(axis=1)
-
-
-def fixed_marginal_proba(model, X):
-    """Rule of the fixed-instance-marginal variant (per-instance support value)."""
-    if model.variant != "fixed_marginal":
-        raise ValueError("model was not trained with the fixed_marginal variant")
-    return predict_proba(model, X)
-
-
 def predict(model, X):
     """Deterministic rule: the label with the largest score (ties to smallest)."""
     return rule_from_scores(model, batch_scores(model, X))[0]
@@ -345,12 +333,6 @@ class RuleBounds:
     @property
     def upper(self):
         return _clamp(self.upper_raw)
-
-
-def bounds_for_rule(uncertainty, instances, spec, h, solver_config=None):
-    """rule_bounds over the scalar features of `instances` under `spec`."""
-    return rule_bounds(uncertainty, features.scalar_feature_matrix(spec, instances),
-                       h, solver_config)
 
 
 def rule_bounds(uncertainty, psi, h, solver_config=None):
@@ -394,16 +376,6 @@ def hoeffding_lambda(model, delta):
     return np.maximum(model.uncertainty.lam, width)
 
 
-def _widen(model, gap):
-    """How a confidence-vector change `gap` moves the model's bounds: the
-    corrections gap·|mu*| and gap·|mu_lower|, then the upper bound plus the
-    first and the lower bound less the second (lower ones NaN if unsolved)."""
-    upper = float(gap @ np.abs(model.mu_star))
-    lower = math.nan if model.mu_lower is None else float(gap @ np.abs(model.mu_lower))
-    moved = math.nan if model.lower_bound is None else model.lower_bound - lower
-    return upper, lower, model.minimax_risk + upper, moved
-
-
 def high_confidence_bounds(model, lambda_delta):
     """Widen the learning-time bounds to a coverage-level confidence vector.
 
@@ -415,48 +387,15 @@ def high_confidence_bounds(model, lambda_delta):
     lambda_delta = np.asarray(lambda_delta, dtype=float)
     if lambda_delta.shape != lam.shape:
         raise ValueError("lambda_delta has the wrong length")
+    if not np.all(np.isfinite(lambda_delta)):
+        raise ValueError("lambda_delta must be finite")
     if np.any(lambda_delta < lam - 1e-12):
         raise ValueError("lambda_delta must dominate the training lambda")
     if model.mu_lower is None or model.lower_bound is None:
         raise ValueError("model carries no lower-bound solve")
-    _, _, upper, lower = _widen(model, lambda_delta - lam)
-    return RuleBounds(lower, upper)
-
-
-@dataclass
-class DiagnosticsReport:
-    upper_correction: float
-    lower_correction: float
-    corrected_upper: float
-    corrected_lower: float
-    covered: bool
-
-
-def diagnostics(model, tau_inf):
-    """Generalization diagnostics against a known exact expectation vector.
-
-    Oracle mode only: reports the corrections that turn the learning-time
-    bounds into bounds on the true error probability, plus whether the
-    confidence vector covers the estimation error.
-    """
-    tau_inf = np.asarray(tau_inf, dtype=float)
-    unc = model.uncertainty
-    if tau_inf.shape != unc.tau.shape:
-        raise ValueError("tau_inf has the wrong length")
-    err = np.abs(tau_inf - unc.tau)
-    covered = bool(np.all(err <= unc.lam + 1e-12))
-    return DiagnosticsReport(*_widen(model, err - unc.lam), covered)
-
-
-def exact_risk_finite(model, X, y, prob):
-    """Expected loss of the model's randomized rule under a finite distribution."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=int)
-    prob = np.asarray(prob, dtype=float)
-    if np.any(prob < 0) or abs(prob.sum() - 1.0) > 1e-12:
-        raise ValueError("probabilities must be nonnegative and sum to 1")
-    h = predict_proba(model, X)
-    return float(prob @ (1.0 - h[np.arange(X.shape[0]), y - 1]))
+    gap = lambda_delta - lam
+    return RuleBounds(model.lower_bound - float(gap @ np.abs(model.mu_lower)),
+                      model.minimax_risk + float(gap @ np.abs(model.mu_star)))
 
 
 def epsilon_s(num_instances, m, num_classes, delta):

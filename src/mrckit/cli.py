@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from contextlib import closing
@@ -65,6 +66,17 @@ def _positive_int(text):
     return value
 
 
+def _finite_float(text):
+    """argparse type of a real number that must be finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 # One definition per flag; each command adds exactly the flags it reads.
 FLAGS = {
     "--data": dict(required=True, help="CSV file, label in the last column"),
@@ -72,13 +84,13 @@ FLAGS = {
     "--model": dict(required=True, help="model.json written by train"),
     "--features": dict(choices=["rff", "identity"], default="rff"),
     "--D": dict(type=int, default=500, help="number of random frequencies"),
-    "--sigma": dict(type=float, default=None,
+    "--sigma": dict(type=_finite_float, default=None,
                     help="kernel scale (default sqrt(d/2))"),
     "--lambda-mode": dict(default="practical",
                           choices=["hoeffding", "bernstein", "rademacher", "practical"]),
-    "--lambda0": dict(type=float, default=0.3),
-    "--delta": dict(type=float, default=0.05),
-    "--rademacher-R": dict(dest="rademacher_R", type=float, default=None),
+    "--lambda0": dict(type=_finite_float, default=0.3),
+    "--delta": dict(type=_finite_float, default=0.05),
+    "--rademacher-R": dict(dest="rademacher_R", type=_finite_float, default=None),
     "--solver": dict(default=None, choices=SOLVER_CHOICES,
                      help="solver method (default: the library chooses it "
                           "from the problem)"),
@@ -129,7 +141,7 @@ def build_parser():
     p_bounds.add_argument("--deterministic", action="store_true",
                           help="also bound the deterministic rule")
     width = p_bounds.add_mutually_exclusive_group()
-    width.add_argument("--lambda-delta-add", type=float, default=None,
+    width.add_argument("--lambda-delta-add", type=_finite_float, default=None,
                        help="high-confidence interval with lambda_delta = lambda + c")
     width.add_argument("--lambda-delta-mode", choices=["hoeffding"], default=None,
                        help="derive lambda_delta from the stored provenance")
@@ -159,7 +171,7 @@ def build_parser():
                        help="comma-separated scales (default: 20 between the "
                             "10th/90th distance percentiles)")
     p_sel.add_argument("--splits", type=int, default=20)
-    p_sel.add_argument("--test-fraction", type=float, default=0.2)
+    p_sel.add_argument("--test-fraction", type=_finite_float, default=0.2)
     p_sel.add_argument("--select-max-iters", type=_positive_int, default=20_000)
     p_sel.set_defaults(features="rff")  # it tunes the kernel scale
 
@@ -298,8 +310,8 @@ def cmd_train(args):
         "n": data.n,
         "m": model.mu_star.size,
         "p": model.learning_rows,
-        "solver": model.solver_info,
         "runs": {side: _run(run) for side, run in model.runs.items()},
+        "notices": model.solver_info["notices"],
         "trace_path": str(trace_path),
         "peak_rss_mb": _peak_rss_mb(),
     })
@@ -408,7 +420,7 @@ def cmd_bounds(args):
 def cmd_sweep_lambda(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = _parse_grid(args.lambda0_grid, float)
+    grid = _parse_grid(args.lambda0_grid, float, "--lambda0-grid")
     data = load_csv(args.data, has_header=args.has_header)
     largest = int(np.bincount(data.labels).max())
     if not 2 <= args.folds <= largest:  # before any fit; else a fold is empty
@@ -448,7 +460,7 @@ def cmd_sweep_lambda(args):
 def cmd_reduce_study(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sizes = _parse_grid(args.sizes, int)
+    sizes = _parse_grid(args.sizes, int, "--sizes")
     data = load_csv(args.data, has_header=args.has_header)
     spec = _spec_from_args(args, data)
     pool = _anchor_from_args(args, data.d)
@@ -602,7 +614,7 @@ def cmd_model_select(args):
 
 def _sigma_grid(args, train_set, split_i):
     if args.sigma_grid is not None:
-        return _parse_grid(args.sigma_grid, float)
+        return _parse_grid(args.sigma_grid, float, "--sigma-grid")
     Xn = apply_normalizer(fit_normalizer(train_set), train_set).instances
     if Xn.shape[0] > 1500:
         rng = np.random.default_rng(child_seed(args.seed, 90_000 + split_i))
@@ -619,13 +631,17 @@ def _sigma_grid(args, train_set, split_i):
     return np.linspace(lo, hi, 20).tolist()
 
 
-def _parse_grid(text, cast):
+def _parse_grid(text, cast, flag):
+    """The comma-separated values of `flag`; a non-finite one is a usage error."""
     try:
         vals = [cast(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise DataError(f"cannot parse grid {text!r}: {exc}") from None
     if not vals:
         raise DataError("empty grid")
+    if not all(math.isfinite(val) for val in vals):
+        raise argparse.ArgumentError(None, f"argument {flag}: values must be "
+                                           f"finite, got {text!r}")
     return vals
 
 
@@ -645,6 +661,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
+    except argparse.ArgumentError as exc:  # a flag value its command refused
+        parser.error(str(exc))
     except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

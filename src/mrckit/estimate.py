@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import features
 from .simplex import OPTIMAL, SimplexError, solve_standard_form
 
 
@@ -40,12 +39,6 @@ class UncertaintySet:
         return self.tau.size
 
 
-def mean_vector(X, y, spec, want_variance=True):
-    """tau_and_variance_from_scalars over the scalar features of X under spec."""
-    return tau_and_variance_from_scalars(features.scalar_feature_matrix(spec, X), y,
-                                         spec.num_classes, want_variance)
-
-
 def tau_and_variance_from_scalars(psi, y, num_classes, want_variance=True):
     """Sample average of the feature mapping and per-component variance.
 
@@ -57,7 +50,7 @@ def tau_and_variance_from_scalars(psi, y, num_classes, want_variance=True):
     y = np.asarray(y, dtype=int)
     n, B = psi.shape
     if n == 0:
-        raise ValueError("mean_vector needs at least one sample")
+        raise ValueError("tau_and_variance_from_scalars needs at least one sample")
     if want_variance and n < 2:
         raise ValueError("variance is undefined for fewer than 2 samples")
     sums = np.zeros((num_classes, B))

@@ -115,16 +115,11 @@ def scalar_feature_matrix(spec, X):
     return psi
 
 
-def scalar_features(spec, x):
-    """Scalar feature vector of a single instance."""
-    return scalar_feature_matrix(spec, np.asarray(x, dtype=float).reshape(1, -1))[0]
-
-
 def feature_map(spec, x, y):
     """Full mapping of an (instance, label) pair: block y holds the scalars."""
     if not 1 <= y <= spec.num_classes:
         raise ValueError(f"label {y} outside 1..{spec.num_classes}")
-    psi = scalar_features(spec, x)
+    psi = scalar_feature_matrix(spec, x)[0]
     B = psi.size
     out = np.zeros(spec.num_classes * B)
     out[(y - 1) * B:y * B] = psi

@@ -199,14 +199,8 @@ def phi_per_instance(scores):
     return _topk_rows(np.atleast_2d(scores))[0]
 
 
-def phi_at_x(mu, x, spec):
-    """Support function restricted to a single instance."""
-    scores = features.score_matrix(spec, np.atleast_2d(x), mu)
-    return float(phi_per_instance(scores)[0])
-
-
 def phi(mu, instances, spec):
-    """Support function over the instance pool: the sup of phi_at_x."""
+    """Support function over the instance pool: its largest per-instance value."""
     instances = np.atleast_2d(instances)
     if instances.shape[0] == 0:
         raise ValueError("phi needs a nonempty instance pool")

@@ -81,13 +81,6 @@ class SolverRun:
     value_drift: float = 0.0           # recursion's best value minus the exact one
 
 
-def subgradient(problem, mu):
-    """A subgradient at mu: a + lam*sign(mu) + argmax row (lowest index on ties)."""
-    mu = np.asarray(mu, dtype=float)
-    _, token = problem.evaluate(mu)
-    return problem.subgradient_from(mu, token)
-
-
 def solve(problem, config):
     """Minimize `problem` with config.method, one of METHODS. A method of
     None is asm on an averaged problem (E-ASM and the LP need a max over

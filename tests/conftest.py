@@ -41,7 +41,8 @@ def random_learning_problem(seed, n=40, d=3, num_classes=2, lambda0=0.3,
         spec = features.identity_spec(num_classes, d)
     else:
         spec = features.rff_spec(num_classes, d, D=D, seed=seed)
-    tau, var = estimate.mean_vector(X, ds.labels, spec)
+    tau, var = estimate.tau_and_variance_from_scalars(
+        features.scalar_feature_matrix(spec, X), ds.labels, num_classes)
     lam = estimate.lambda_practical(lambda0, var, n)
     unc = estimate.UncertaintySet(tau, lam)
     problem = objective.build_learning_problem(unc, X, spec)
@@ -102,6 +103,22 @@ def finite_distribution(seed, support_size=20, d=2, num_classes=2):
     w = rng.exponential(size=pairs_x.size)
     prob = w / w.sum()
     return X, pairs_x, pairs_y, prob
+
+
+def rule_normalizer(model, X):
+    """The per-instance normalization constant of the randomized rule."""
+    return np.maximum(classifier.batch_scores(model, X) - model.phi_star, 0.0).sum(axis=1)
+
+
+def exact_risk_finite(model, X, y, prob):
+    """Expected loss of the model's randomized rule under a finite distribution."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=int)
+    prob = np.asarray(prob, dtype=float)
+    if np.any(prob < 0) or abs(prob.sum() - 1.0) > 1e-12:
+        raise ValueError("probabilities must be nonnegative and sum to 1")
+    h = classifier.predict_proba(model, X)
+    return float(prob @ (1.0 - h[np.arange(X.shape[0]), y - 1]))
 
 
 @pytest.fixture

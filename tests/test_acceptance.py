@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from mrckit import classifier, estimate, features, objective
-from mrckit.classifier import exact_risk_finite
 from mrckit.cli import main as cli_main
 from mrckit.dataset import load_csv, save_csv
 from mrckit.solver import (SolverConfig, solve, solve_asm, solve_easm,
                            solve_easm_restart, solve_lp)
-from conftest import (enumerate_phi, make_blobs, random_learning_problem,
-                      row_problem)
+from conftest import (enumerate_phi, exact_risk_finite, make_blobs,
+                      random_learning_problem, row_problem, rule_normalizer)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -100,7 +99,7 @@ def test_criterion_03_bound_sandwich():
         phi_star = objective.phi(run.best_mu, X, spec)
         scores = features.score_matrix(spec, X, run.best_mu)
         h = classifier._rule_matrix_from_scores(scores, phi_star, K)
-        rb = classifier.bounds_for_rule(unc, X, spec, h, lp)
+        rb = classifier.rule_bounds(unc, features.scalar_feature_matrix(spec, X), h, lp)
         # exact enumerated risk of the learned randomized rule
         h_at = h[pairs_x, pairs_y - 1]
         risk = float(prob @ (1.0 - h_at))
@@ -135,7 +134,7 @@ def test_criterion_04_rule_validity():
         X = anchor[rng.integers(0, anchor.shape[0], size=500)]
         evaluations += X.shape[0]
         h = classifier.predict_proba(model, X)
-        c = classifier.rule_normalizer(model, X)
+        c = rule_normalizer(model, X)
         labels = classifier.predict(model, X)
         h_det = np.zeros_like(h)
         h_det[np.arange(len(labels)), labels - 1] = 1.0
@@ -214,7 +213,8 @@ def test_criterion_07_periteration_speedup():
     X = ds.instances
     X = (X - X.mean(0)) / np.where(X.std(0) > 0, X.std(0), 1)
     spec = features.rff_spec(K, d, D=D, seed=0)
-    tau, var = estimate.mean_vector(X, ds.labels, spec)
+    tau, var = estimate.tau_and_variance_from_scalars(
+        features.scalar_feature_matrix(spec, X), ds.labels, K)
     unc = estimate.UncertaintySet(tau, estimate.lambda_practical(0.3, var, n))
     problem = objective.build_learning_problem(unc, X, spec)
     assert problem.num_rows >= 5000 and problem.dimension >= 1000
@@ -301,8 +301,9 @@ def test_criterion_10_coverage_monte_carlo():
     hits = 0
     for _ in range(trials):
         idx = rng.choice(10, size=n, p=prob)
-        tau_hat, _ = estimate.mean_vector(support[idx], labels[idx], spec,
-                                          want_variance=False)
+        tau_hat, _ = estimate.tau_and_variance_from_scalars(
+            features.scalar_feature_matrix(spec, support[idx]), labels[idx], 2,
+            want_variance=False)
         hits += bool(np.all(np.abs(tau_inf - tau_hat) <= lam))
     rate = hits / trials
     report(10, rate >= 0.90,

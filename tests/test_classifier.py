@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 from mrckit import classifier, estimate, features, objective
-from mrckit.classifier import (MrcModel, bounds_for_rule, diagnostics,
-                               epsilon_s, evaluate, exact_risk_finite,
-                               fixed_marginal_proba, high_confidence_bounds,
-                               load_model, predict, predict_proba, save_model,
-                               train)
+from mrckit.classifier import (MrcModel, epsilon_s, evaluate, high_confidence_bounds,
+                               load_model, predict, predict_proba, rule_bounds,
+                               save_model, train)
 from mrckit.cli import main
 from mrckit.dataset import Dataset, save_csv
 from mrckit.solver import SolverConfig, solve
-from conftest import finite_distribution, make_blobs
+from conftest import exact_risk_finite, finite_distribution, make_blobs, rule_normalizer
 
 LP = SolverConfig(method="lp")
 
@@ -91,7 +89,7 @@ def test_predict_proba_hand_example():
     model = toy_model([0.9, 0.1], phi_star=0.1, num_classes=2)
     h = predict_proba(model, np.array([[1.0]]))
     assert np.allclose(h, [[1.0, 0.0]])
-    c = classifier.rule_normalizer(model, np.array([[1.0]]))
+    c = rule_normalizer(model, np.array([[1.0]]))
     assert abs(c[0] - 0.8) < 1e-15
 
 
@@ -103,7 +101,7 @@ def test_rule_normalizer_capped_on_anchor(rng):
         spec = features.identity_spec(3, 2)
         model = toy_model(mu, objective.phi(mu, anchor, spec), 3, d=2,
                           anchor=anchor)
-        c = classifier.rule_normalizer(model, anchor)
+        c = rule_normalizer(model, anchor)
         assert np.all(c <= 1.0 + 1e-12)
         h = predict_proba(model, anchor)
         assert np.all(h >= 0) and np.all(h <= 1)
@@ -136,12 +134,12 @@ def test_deterministic_domination(rng):
 def test_fixed_marginal_rule():
     model = toy_model([0.0, 0.0], phi_star=None, num_classes=2,
                       variant="fixed_marginal")
-    h = fixed_marginal_proba(model, np.array([[1.0]]))
+    h = predict_proba(model, np.array([[1.0]]))
     assert np.allclose(h, 0.5)
     # scores (0.6, 0.2): phi_x = max(-0.4, -0.8, -0.1) = -0.1 -> (0.7, 0.3)
     model = toy_model([0.6, 0.2], phi_star=None, num_classes=2,
                       variant="fixed_marginal")
-    h = fixed_marginal_proba(model, np.array([[1.0]]))
+    h = predict_proba(model, np.array([[1.0]]))
     assert np.allclose(h, [[0.7, 0.3]], atol=1e-15)
 
 
@@ -152,7 +150,7 @@ def test_fixed_marginal_sums_to_one(rng):
         mu = r.normal(size=6)
         model = toy_model(mu, phi_star=None, num_classes=3, d=2,
                           variant="fixed_marginal")
-        h = fixed_marginal_proba(model, r.normal(size=(25, 2)))
+        h = predict_proba(model, r.normal(size=(25, 2)))
         assert np.allclose(h.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -185,31 +183,13 @@ def test_bounds_for_rule_uniform_large_lambda():
     ds = make_blobs(20, d=2, seed=4)
     spec = features.identity_spec(2, 2)
     X = ds.instances
-    tau, var = estimate.mean_vector(X, ds.labels, spec)
+    psi = features.scalar_feature_matrix(spec, X)
+    tau, var = estimate.tau_and_variance_from_scalars(psi, ds.labels, 2)
     unc = estimate.UncertaintySet(tau, np.full(4, 1e3))
     h = np.full((20, 2), 0.5)
-    rb = bounds_for_rule(unc, X, spec, h, LP)
+    rb = rule_bounds(unc, psi, h, LP)
     assert abs(rb.lower_raw - 0.5) < 1e-9
     assert abs(rb.upper_raw - 0.5) < 1e-9
-
-
-def test_bounds_for_rule_maps_anchor_once(monkeypatch):
-    # the lower-bound problem reuses the upper problem's scalar features
-    ds = make_blobs(20, d=2, seed=4)
-    spec = features.identity_spec(2, 2)
-    tau, var = estimate.mean_vector(ds.instances, ds.labels, spec)
-    unc = estimate.UncertaintySet(tau, np.full(4, 0.1))
-    calls = []
-    mapper = features.scalar_feature_matrix
-
-    def counting(spec, X):
-        calls.append(np.atleast_2d(X).shape[0])
-        return mapper(spec, X)
-
-    monkeypatch.setattr(features, "scalar_feature_matrix", counting)
-    rb = bounds_for_rule(unc, ds.instances, spec, np.full((20, 2), 0.5), LP)
-    assert calls == [20]
-    assert rb.lower_raw <= rb.upper_raw + 1e-9
 
 
 def test_train_maps_anchor_once(monkeypatch, mapped_rows):
@@ -261,7 +241,8 @@ def test_upper_bound_of_learned_rule_matches_training(rng):
     Xn = model.instance_anchor
     h = classifier.rule_from_scores(
         model, features.score_matrix(model.feature_spec, Xn, model.mu_star))[1]
-    rb = bounds_for_rule(model.uncertainty, Xn, model.feature_spec, h, LP)
+    psi = features.scalar_feature_matrix(model.feature_spec, Xn)
+    rb = rule_bounds(model.uncertainty, psi, h, LP)
     assert abs(rb.upper_raw - model.raw_bounds["upper"]) < 1e-8
     assert rb.lower_raw <= rb.upper_raw + 1e-9
 
@@ -295,23 +276,12 @@ def test_high_confidence_bounds():
         high_confidence_bounds(model, lam - 1e-3)
 
 
-def test_diagnostics_corrections():
-    ds = make_blobs(30, d=2, seed=9)
-    spec = features.identity_spec(2, 2)
-    model = train(ds, spec, solver_config=LP)
-    unc = model.uncertainty
-    rep = diagnostics(model, unc.tau)
-    assert rep.covered
-    assert rep.upper_correction == pytest.approx(
-        -float(unc.lam @ np.abs(model.mu_star)), abs=1e-12)
-    assert rep.lower_correction == pytest.approx(
-        -float(unc.lam @ np.abs(model.mu_lower)), abs=1e-12)
-    # error exactly equal to lambda: both corrections vanish
-    rep2 = diagnostics(model, unc.tau + unc.lam)
-    assert abs(rep2.upper_correction) < 1e-12
-    assert abs(rep2.lower_correction) < 1e-12
-    with pytest.raises(ValueError):
-        diagnostics(model, np.zeros(unc.m + 1))
+@pytest.mark.parametrize("width", [math.nan, math.inf])
+def test_high_confidence_bounds_refuses_a_non_finite_width(width):
+    ds = make_blobs(30, d=2, seed=8)
+    model = train(ds, features.identity_spec(2, 2), solver_config=LP)
+    with pytest.raises(ValueError, match="finite"):
+        high_confidence_bounds(model, model.uncertainty.lam + width)
 
 
 def test_exact_risk_finite():
@@ -363,7 +333,7 @@ def test_bound_sandwich_small():
     model = toy_model(run.best_mu, phi_star, 2, d=2, anchor=X)
     model.uncertainty = unc
     h = classifier.rule_from_scores(model, features.score_matrix(spec, X, run.best_mu))[1]
-    rb = bounds_for_rule(unc, X, spec, h, LP)
+    rb = rule_bounds(unc, features.scalar_feature_matrix(spec, X), h, LP)
     risk = exact_risk_finite(model, X[px], py, prob)
     assert rb.lower_raw - 1e-9 <= risk <= rb.upper_raw + 1e-9
     assert abs(rb.upper_raw - run.best_value) < 1e-8

@@ -109,7 +109,7 @@ def test_train_default_solver_four_classes_1500_rows(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["p"] == 1500 * 15
-    assert report["solver"]["method"] == "easm_restart"
+    assert report["runs"]["upper"]["method"] == "easm_restart"
 
 
 def test_train_deterministic_model_bytes(blob_csv, tmp_path):

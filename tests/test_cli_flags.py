@@ -90,6 +90,33 @@ def test_zero_count_is_a_usage_error(tmp_path, capsys, command, flag):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,flag,value,extra", [
+    ("train", "--lambda0", "nan", []),
+    ("train", "--lambda0", "inf", []),
+    ("train", "--sigma", "nan", []),
+    ("train", "--delta", "nan", []),
+    ("train", "--rademacher-R", "nan", ["--lambda-mode", "rademacher"]),
+    ("sweep-lambda", "--lambda0-grid", "nan", ["--folds", "2"]),
+    ("model-select", "--sigma-grid", "0.5,nan", ["--splits", "1"]),
+    ("model-select", "--test-fraction", "nan", ["--splits", "1", "--sigma-grid", "1.0"]),
+    ("bounds", "--lambda-delta-add", "nan", []),
+    ("bounds", "--lambda-delta-add", "inf", []),
+])
+def test_non_finite_float_is_a_usage_error(blob_csv, tmp_path, capsys, command, flag,
+                                           value, extra):
+    if command == "bounds":
+        inputs = ["--model", train_model(blob_csv, tmp_path / "train")]
+    else:
+        inputs = ["--data", blob_csv, "--D", "8", "--max-iters", "20"]
+    out = tmp_path / "o"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--out", str(out), *extra, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def no_fit(*args, **kwargs):
     pytest.fail("a model was fitted")
 

@@ -35,7 +35,7 @@ def test_train_empty_pool_is_repaired_or_refused(empty_pool, tmp_path, capsys, b
     out = tmp_path / "auto"
     assert main([*args, "--out", str(out), "--repair", "auto"]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["solver"]["notices"][0].startswith("repaired after: objective")
+    assert report["notices"][0].startswith("repaired after: objective")
     assert 0.0 <= report["raw_bounds"]["lower"] <= report["raw_bounds"]["upper"] <= 1.0
     model = json.loads((out / "model.json").read_text())
     assert model["provenance"]["repaired"] is True

@@ -6,8 +6,7 @@ import pytest
 from mrckit import estimate, features
 from mrckit.estimate import (UncertaintySet, ensure_feasible, lambda_bernstein,
                              lambda_hoeffding, lambda_practical,
-                             lambda_rademacher, mean_vector,
-                             tau_and_variance_from_scalars)
+                             lambda_rademacher, tau_and_variance_from_scalars)
 
 
 def test_mean_and_variance_arithmetic():
@@ -22,7 +21,8 @@ def test_mean_vector_block_structure():
     spec = features.identity_spec(2, 1)
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([1, 2, 1])
-    tau, var = mean_vector(X, y, spec)
+    tau, var = tau_and_variance_from_scalars(
+        features.scalar_feature_matrix(spec, X), y, 2)
     assert np.allclose(tau, [4.0 / 3.0, 2.0 / 3.0])
     # block 1 samples are (1, 0, 3), block 2 samples (0, 2, 0)
     assert np.allclose(var, [np.var([1, 0, 3], ddof=1), np.var([0, 2, 0], ddof=1)])
@@ -30,18 +30,20 @@ def test_mean_vector_block_structure():
 
 def test_mean_vector_single_sample():
     spec = features.identity_spec(2, 1)
-    tau, var = mean_vector([[2.0]], [1], spec, want_variance=False)
+    psi = features.scalar_feature_matrix(spec, [[2.0]])
+    tau, var = tau_and_variance_from_scalars(psi, [1], 2, want_variance=False)
     assert tau.tolist() == [2.0, 0.0]
     assert var is None
     with pytest.raises(ValueError, match="fewer than 2"):
-        mean_vector([[2.0]], [1], spec)
+        tau_and_variance_from_scalars(psi, [1], 2)
 
 
 def test_mean_of_repeated_sample_is_that_sample():
     spec = features.identity_spec(2, 2)
     X = np.tile([[1.5, -2.0]], (5, 1))
     y = np.full(5, 2)
-    tau, var = mean_vector(X, y, spec)
+    tau, var = tau_and_variance_from_scalars(
+        features.scalar_feature_matrix(spec, X), y, 2)
     assert np.allclose(tau, features.feature_map(spec, X[0], 2))
     assert np.allclose(var, 0.0)
 
@@ -149,7 +151,8 @@ def test_ensure_feasible_noop_when_feasible():
     spec = features.identity_spec(2, 1)
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([1, 2, 1])
-    tau, _ = mean_vector(X, y, spec, want_variance=False)
+    tau, _ = tau_and_variance_from_scalars(
+        features.scalar_feature_matrix(spec, X), y, 2, want_variance=False)
     lam = np.full(2, 0.05)
     tau2, lam2 = ensure_feasible(tau, lam, features.scalar_feature_matrix(spec, X), 2)
     assert np.allclose(tau2, tau, atol=1e-9)
@@ -186,8 +189,9 @@ def test_hoeffding_coverage_sanity():
     hits = 0
     for _ in range(trials):
         idx = rng.choice(3, size=n, p=probs)
-        tau_hat, _ = mean_vector(support[idx], labels[idx], spec,
-                                 want_variance=False)
+        tau_hat, _ = tau_and_variance_from_scalars(
+            features.scalar_feature_matrix(spec, support[idx]), labels[idx], 2,
+            want_variance=False)
         hits += bool(np.all(np.abs(tau_inf - tau_hat) <= lam))
     # binomial 3-sigma slack below the nominal level
     slack = 3.0 * math.sqrt(delta * (1 - delta) / trials)

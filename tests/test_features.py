@@ -8,14 +8,14 @@ from mrckit import features
 
 def test_rff_at_zero_alternates_cos_sin():
     spec = features.rff_spec(2, 3, D=4, seed=0)
-    psi = features.scalar_features(spec, np.zeros(3))
+    psi = features.scalar_feature_matrix(spec, np.zeros(3))[0]
     assert np.array_equal(psi, np.array([1, 0, 1, 0, 1, 0, 1, 0], dtype=float))
 
 
 def test_rff_norm_is_D(rng):
     spec = features.rff_spec(2, 5, D=16, seed=3)
     for _ in range(10):
-        psi = features.scalar_features(spec, rng.normal(size=5))
+        psi = features.scalar_feature_matrix(spec, rng.normal(size=5))[0]
         assert abs(psi @ psi - 16.0) < 1e-12
 
 
@@ -57,7 +57,7 @@ def test_label_out_of_range():
 def test_dimension_mismatch():
     spec = features.identity_spec(2, 3)
     with pytest.raises(ValueError):
-        features.scalar_features(spec, np.zeros(4))
+        features.scalar_feature_matrix(spec, np.zeros(4))
 
 
 def test_determinism_from_seed(rng):
@@ -65,7 +65,8 @@ def test_determinism_from_seed(rng):
     a = features.rff_spec(2, 6, D=32, seed=77)
     b = features.rff_spec(2, 6, D=32, seed=77)
     assert np.array_equal(features.frequencies(a), features.frequencies(b))
-    assert np.array_equal(features.scalar_features(a, x), features.scalar_features(b, x))
+    assert np.array_equal(features.scalar_feature_matrix(a, x)[0],
+                          features.scalar_feature_matrix(b, x)[0])
     c = features.rff_spec(2, 6, D=32, seed=78)
     assert not np.array_equal(features.frequencies(a), features.frequencies(c))
 
@@ -73,7 +74,7 @@ def test_determinism_from_seed(rng):
 def test_sum_over_labels_reproduces_scalars(rng):
     spec = features.rff_spec(3, 2, D=4, seed=5)
     x = rng.normal(size=2)
-    psi = features.scalar_features(spec, x)
+    psi = features.scalar_feature_matrix(spec, x)[0]
     total = sum(features.feature_map(spec, x, y) for y in range(1, 4))
     B = features.block_dim(spec)
     for c in range(3):
@@ -87,7 +88,7 @@ def test_sum_over_labels_reproduces_scalars(rng):
 def test_constant_feature_flag():
     spec = features.rff_spec(2, 2, D=3, seed=0, include_constant=True)
     assert features.block_dim(spec) == 7
-    psi = features.scalar_features(spec, np.zeros(2))
+    psi = features.scalar_feature_matrix(spec, np.zeros(2))[0]
     assert psi[0] == 1.0
 
 
@@ -128,8 +129,8 @@ def test_kernel_consistency_monte_carlo(rng):
     vals = []
     for seed in range(reps):
         spec = features.rff_spec(2, d, D=D, sigma=sigma, seed=seed)
-        vals.append(features.scalar_features(spec, x)
-                    @ features.scalar_features(spec, xp) / D)
+        vals.append(features.scalar_feature_matrix(spec, x)[0]
+                    @ features.scalar_feature_matrix(spec, xp)[0] / D)
     # each cos term is bounded by 1, so the sd of the mean is < 1/sqrt(D*reps)
     tol = 5.0 / math.sqrt(D * reps)
     assert abs(np.mean(vals) - target) < tol
@@ -152,8 +153,8 @@ def test_spec_round_trip():
     assert back.sigma == spec.sigma and back.seed == spec.seed
     assert back.include_constant and back.num_classes == 3
     x = np.ones(4)
-    assert np.array_equal(features.scalar_features(back, x),
-                          features.scalar_features(spec, x))
+    assert np.array_equal(features.scalar_feature_matrix(back, x)[0],
+                          features.scalar_feature_matrix(spec, x)[0])
 
 
 def test_score_matrix_under_budget_is_one_product(rng):

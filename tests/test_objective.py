@@ -5,7 +5,7 @@ import pytest
 
 from mrckit import estimate, features, objective
 from mrckit.objective import (build_learning_problem, build_upper_bound_problem,
-                              lower_from_upper, phi, phi_at_x)
+                              lower_from_upper, phi)
 from conftest import enumerate_phi, random_learning_problem
 
 
@@ -35,14 +35,14 @@ def test_phi_three_class_topk():
     spec, X, mu = scores_spec([3.0, 1.0, 1.0])
     # candidates: 2, 1.5, 4/3
     assert abs(phi(mu, X, spec) - 2.0) < 1e-15
-    assert abs(phi_at_x(mu, X[0], spec) - 2.0) < 1e-15
+    assert abs(phi(mu, X[0], spec) - 2.0) < 1e-15
 
 
 def test_phi_at_x_is_pointwise_phi(rng):
     spec = features.rff_spec(3, 2, D=4, seed=0)
     X = rng.normal(size=(6, 2))
     mu = rng.normal(size=features.feature_dim(spec))
-    per = [phi_at_x(mu, x, spec) for x in X]
+    per = [phi(mu, x, spec) for x in X]
     assert abs(phi(mu, X, spec) - max(per)) < 1e-15
 
 
@@ -177,7 +177,8 @@ def test_fixed_marginal_minimax_hinge_identity(rng):
     X = rng.normal(size=(n, d))
     y = rng.integers(1, K + 1, size=n)
     spec = features.identity_spec(K, d)
-    tau, _ = estimate.mean_vector(X, y, spec, want_variance=False)
+    tau, _ = estimate.tau_and_variance_from_scalars(
+        features.scalar_feature_matrix(spec, X), y, K, want_variance=False)
     unc = estimate.UncertaintySet(tau, np.zeros(K * d))
     fm = replace(build_learning_problem(unc, X, spec), average=True)
     for _ in range(10):

@@ -201,14 +201,15 @@ def test_stream_holds_a_worker_back_and_kills_it_when_closed(cpus, tmp_path):
 def test_bounds_for_rule_same_at_one_and_two_cpus(cpus):
     ds = make_blobs(30, d=2, seed=4)
     spec = features.identity_spec(2, 2)
-    tau, _ = estimate.mean_vector(ds.instances, ds.labels, spec)
+    psi = features.scalar_feature_matrix(spec, ds.instances)
+    tau, _ = estimate.tau_and_variance_from_scalars(psi, ds.labels, 2)
     unc = estimate.UncertaintySet(tau, np.full(4, 0.1))
     h = np.eye(2)[ds.labels % 2]
     cfg = SolverConfig(method="easm_restart", max_iters=300, restart_period=100)
     runs = []
     for n in (1, 2):
         cpus(n)
-        runs.append(classifier.bounds_for_rule(unc, ds.instances, spec, h, cfg))
+        runs.append(classifier.rule_bounds(unc, psi, h, cfg))
     one, two = runs
     for name in ("lower", "upper", "lower_raw", "upper_raw"):
         assert getattr(one, name) == getattr(two, name)
@@ -334,7 +335,7 @@ def test_train_fixed_marginal_defaults_to_asm(blob_csv, tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["flags"]["solver"] == "asm"
-    assert report["solver"]["method"] == "asm"
+    assert report["runs"]["upper"]["method"] == "asm"
     # the standard variant keeps E-ASM with restarts
     code = main(["train", "--data", blob_csv, "--out", str(tmp_path / "std"),
                  "--features", "identity", "--max-iters", "200", "--seed", "1"])

@@ -14,10 +14,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from mrckit import classifier, cli, estimate, features  # noqa: E402
+from mrckit import classifier, cli, estimate, features, objective  # noqa: E402
 from mrckit.dataset import Dataset, load_csv, load_features, save_csv  # noqa: E402
 from mrckit.solver import SolverConfig  # noqa: E402
-from conftest import finite_distribution, make_blobs  # noqa: E402
+from conftest import exact_risk_finite, finite_distribution, make_blobs  # noqa: E402
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -138,7 +138,7 @@ def test_every_interval_sandwiches_the_exact_risk(seed, support, classes, widen)
     def holds(lower, upper, risk):
         return lower - 1e-9 <= risk <= upper + 1e-9
 
-    risk = classifier.exact_risk_finite(model, X[px], py, prob)
+    risk = exact_risk_finite(model, X[px], py, prob)
     assert holds(model.lower_bound, model.minimax_risk, risk)
     hc = classifier.high_confidence_bounds(model, unc.lam + widen)
     assert holds(hc.lower, hc.upper, risk)
@@ -275,9 +275,7 @@ def test_model_file_round_trips_byte_for_byte(tmp_path_factory, kind, include_co
         method = "asm"  # the LP needs a max over rows
     spec = (features.rff_spec(2, 2, D=3, seed=seed, include_constant=include_constant)
             if kind == "rff" else features.identity_spec(2, 2, include_constant))
-    # a foreign pool may leave the fixed-marginal set empty, repair or not
-    anchor = (make_blobs(8, d=2, seed=seed + 10).instances
-              if file_anchor and variant == "standard" else None)
+    anchor = make_blobs(8, d=2, seed=seed + 10).instances if file_anchor else None
     model = classifier.train(
         make_blobs(20, d=2, seed=seed), spec, lambda_mode=lambda_mode,
         solver_config=SolverConfig(method=method, max_iters=50), anchor=anchor,
@@ -286,3 +284,34 @@ def test_model_file_round_trips_byte_for_byte(tmp_path_factory, kind, include_co
     classifier.save_model(model, root / "saved.json")
     classifier.save_model(classifier.load_model(root / "saved.json"), root / "again.json")
     assert (root / "saved.json").read_bytes() == (root / "again.json").read_bytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["rff", "identity"]),
+       variant=st.sampled_from(["standard", "fixed_marginal"]),
+       classes=st.integers(2, 4), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       tie=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_rule_is_valid_on_random_instances(kind, variant, classes, scale, tie, seed):
+    # a small model with random parameters; instances off its anchor pool too
+    rng = np.random.default_rng(seed)
+    spec = (features.rff_spec(classes, 2, D=3, seed=seed) if kind == "rff"
+            else features.identity_spec(classes, 2))
+    mu = rng.normal(size=features.feature_dim(spec)) * scale
+    if tie:  # the first two classes score alike everywhere
+        B = features.block_dim(spec)
+        mu[B:2 * B] = mu[:B]
+    anchor = rng.normal(size=(10, 2))
+    m = mu.size
+    model = classifier.MrcModel(
+        mu_star=mu, phi_star=objective.phi(mu, anchor, spec), minimax_risk=1.0,
+        lower_bound=None, uncertainty=estimate.UncertaintySet(np.zeros(m), np.zeros(m)),
+        feature_spec=spec, normalization=None, instance_anchor=anchor,
+        label_names=tuple("abcd"[:classes]), variant=variant)
+    X = rng.normal(size=(30, 2)) * 3.0
+    h = classifier.predict_proba(model, X)
+    assert np.all(h >= 0.0)
+    assert np.all(np.abs(h.sum(axis=1) - 1.0) <= 1e-9)
+    scores = classifier.batch_scores(model, X)
+    lowest_best = [min(y for y in range(1, classes + 1) if row[y - 1] == max(row))
+                   for row in scores.tolist()]
+    assert classifier.predict(model, X).tolist() == lowest_best

@@ -7,8 +7,7 @@ from mrckit import solver
 from mrckit.solver import (DivergenceError, SolverConfig, SolverError,
                            UnboundedObjectiveError, _schedule_arrays, solve,
                            solve_asm, solve_bsm, solve_easm,
-                           solve_easm_restart, solve_lp,
-                           subgradient)
+                           solve_easm_restart, solve_lp)
 from conftest import random_learning_problem, row_problem
 
 
@@ -47,7 +46,8 @@ def test_subgradient_assembly():
     problem = row_problem(
         a=np.array([1.0, -1.0]), lam=np.array([0.1, 0.1]),
         F=np.array([[0.5, 0.5], [1.0, 1.0]]), b=np.zeros(2))
-    g = subgradient(problem, np.array([2.0, -3.0]))
+    mu = np.array([2.0, -3.0])
+    g = problem.subgradient_from(mu, problem.evaluate(mu)[1])
     assert np.allclose(g, [1.6, -0.6], atol=1e-15)
 
 
@@ -55,7 +55,7 @@ def test_subgradient_sign_zero_and_ties():
     problem = row_problem(
         a=np.array([0.3]), lam=np.array([1.0]),
         F=np.array([[2.0], [2.0]]), b=np.zeros(2))
-    g = subgradient(problem, np.zeros(1))
+    g = problem.subgradient_from(np.zeros(1), problem.evaluate(np.zeros(1))[1])
     assert g[0] == pytest.approx(0.3 + 2.0)  # sign(0) = 0, lowest row wins
     _, token = problem.evaluate(np.ones(1))
     assert token == 0  # two identical max rows: lowest index
