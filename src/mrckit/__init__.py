@@ -22,8 +22,7 @@ from .objective import (PiecewiseLinearProblem, build_learning_problem,
                         build_upper_bound_problem, learning_problem,
                         lower_from_upper, phi)
 from .solver import (DivergenceError, SolverConfig, SolverError, SolverRun,
-                     UnboundedObjectiveError, solve, solve_asm, solve_bsm,
-                     solve_easm, solve_easm_restart, solve_lp)
+                     UnboundedObjectiveError, solve)
 from .classifier import (MrcModel, deterministic_rule_bounds, epsilon_s, evaluate,
                          high_confidence_bounds, hoeffding_lambda, load_model,
                          predict, predict_proba, rule_bounds, save_model, train)

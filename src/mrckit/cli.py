@@ -77,19 +77,27 @@ def _finite_float(text):
     return value
 
 
+def _open_unit_float(text):
+    """argparse type of a confidence level, which must lie in (0, 1)."""
+    value = _finite_float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
 # One definition per flag; each command adds exactly the flags it reads.
 FLAGS = {
     "--data": dict(required=True, help="CSV file, label in the last column"),
     "--has-header": dict(action="store_true"),
     "--model": dict(required=True, help="model.json written by train"),
     "--features": dict(choices=["rff", "identity"], default="rff"),
-    "--D": dict(type=int, default=500, help="number of random frequencies"),
+    "--D": dict(type=_positive_int, default=500, help="number of random frequencies"),
     "--sigma": dict(type=_finite_float, default=None,
                     help="kernel scale (default sqrt(d/2))"),
     "--lambda-mode": dict(default="practical",
                           choices=["hoeffding", "bernstein", "rademacher", "practical"]),
     "--lambda0": dict(type=_finite_float, default=0.3),
-    "--delta": dict(type=_finite_float, default=0.05),
+    "--delta": dict(type=_open_unit_float, default=0.05),
     "--rademacher-R": dict(dest="rademacher_R", type=_finite_float, default=None),
     "--solver": dict(default=None, choices=SOLVER_CHOICES,
                      help="solver method (default: the library chooses it "
@@ -130,7 +138,6 @@ def build_parser():
                          default="standard")
     p_train.add_argument("--repair", choices=["auto", "always", "never"],
                          default="auto")
-    p_train.add_argument("--trace-every", type=_positive_int, default=100)
 
     p_pred = command("predict", "predict labels with a saved model",
                      "--model", "--data", "--has-header", "--out")
@@ -159,10 +166,9 @@ def build_parser():
     p_red.add_argument("--sizes", required=True, help="comma-separated pool sizes")
     p_red.add_argument("--reps", type=int, default=10)
 
-    p_bench = command("bench-solvers", "trace every method on one problem",
-                      "--data", "--has-header", *FEATURE_FLAGS, *WIDTH_FLAGS,
-                      "--max-iters", "--restart-period", "--seed", "--out")
-    p_bench.add_argument("--trace-every", type=_positive_int, default=1)
+    command("bench-solvers", "trace every method on one problem",
+            "--data", "--has-header", *FEATURE_FLAGS, *WIDTH_FLAGS,
+            "--max-iters", "--restart-period", "--seed", "--out")
 
     p_sel = command("model-select", "pick the kernel scale by the upper bound",
                     "--data", "--has-header", "--D", *WIDTH_FLAGS,
@@ -291,7 +297,7 @@ def cmd_train(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     data = load_csv(args.data, has_header=args.has_header)
     spec = _spec_from_args(args, data)
-    cfg = _solver_config_from_args(args, trace_every=args.trace_every)
+    cfg = _solver_config_from_args(args, trace_every=100)  # trace.csv: every 100th step
     model = classifier.train(
         data, spec, **_uncertainty_args(args), solver_config=cfg,
         anchor=_anchor_from_args(args, data.d),
@@ -418,9 +424,9 @@ def cmd_bounds(args):
 
 
 def cmd_sweep_lambda(args):
+    grid = _parse_grid(args.lambda0_grid, float, "--lambda0-grid")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = _parse_grid(args.lambda0_grid, float, "--lambda0-grid")
     data = load_csv(args.data, has_header=args.has_header)
     largest = int(np.bincount(data.labels).max())
     if not 2 <= args.folds <= largest:  # before any fit; else a fold is empty
@@ -458,18 +464,19 @@ def cmd_sweep_lambda(args):
 
 
 def cmd_reduce_study(args):
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sizes = _parse_grid(args.sizes, int, "--sizes")
-    data = load_csv(args.data, has_header=args.has_header)
-    spec = _spec_from_args(args, data)
-    pool = _anchor_from_args(args, data.d)
-    pool_n = data.n if pool is None else pool.shape[0]
-    if args.reps < 1:  # before any solve
+    if args.reps < 1:  # before any data is read
         raise DataError(f"--reps must be at least 1, got {args.reps}")
     for s in sizes:
         if s < 1:
             raise DataError(f"--sizes must be at least 1, got {s}")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    data = load_csv(args.data, has_header=args.has_header)
+    spec = _spec_from_args(args, data)
+    pool = _anchor_from_args(args, data.d)
+    pool_n = data.n if pool is None else pool.shape[0]
+    for s in sizes:
         if s > pool_n:
             raise DataError(f"anchor subset size {s} exceeds the pool size {pool_n}")
 
@@ -528,9 +535,7 @@ def cmd_bench_solvers(args):
     methods = [method for method in METHODS if method != "lp"]
     summary = {"methods": {}, "p": problem.num_rows, "m": problem.dimension}
     for name in methods:
-        cfg = _solver_config_from_args(args, method=name,
-                                       trace_every=args.trace_every)
-        run = solve(problem, cfg)
+        run = solve(problem, _solver_config_from_args(args, method=name, trace_every=1))
         trace_path = out_dir / f"trace_{name}.csv"
         _write_trace_csv(trace_path, run.trace)
         summary["methods"][name] = {
@@ -552,6 +557,8 @@ def cmd_bench_solvers(args):
 def cmd_model_select(args):
     if args.splits < 1:  # no split would leave every mean undefined
         raise DataError(f"--splits must be at least 1, got {args.splits}")
+    sigma_grid = (None if args.sigma_grid is None
+                  else _parse_grid(args.sigma_grid, float, "--sigma-grid"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = load_csv(args.data, has_header=args.has_header)
@@ -566,7 +573,7 @@ def cmd_model_select(args):
     def split_result(split_i):
         train_set, test_set = stratified_split(
             data, args.test_fraction, seed=child_seed(args.seed, split_i))
-        grid = _sigma_grid(args, train_set, split_i)
+        grid = sigma_grid or _default_sigma_grid(args, train_set, split_i)
         select_cfg = _solver_config_from_args(args, max_iters=args.select_max_iters)
         rng = np.random.default_rng(child_seed(args.seed, 50_000 + split_i))
         anchor = None
@@ -612,9 +619,7 @@ def cmd_model_select(args):
     return EXIT_OK
 
 
-def _sigma_grid(args, train_set, split_i):
-    if args.sigma_grid is not None:
-        return _parse_grid(args.sigma_grid, float, "--sigma-grid")
+def _default_sigma_grid(args, train_set, split_i):
     Xn = apply_normalizer(fit_normalizer(train_set), train_set).instances
     if Xn.shape[0] > 1500:
         rng = np.random.default_rng(child_seed(args.seed, 90_000 + split_i))

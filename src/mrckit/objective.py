@@ -23,8 +23,10 @@ lower-bound objective is at least -1. The builders record that `floor`,
 and a value below it proves the set empty.
 
 Problems expose `evaluate(mu) -> (value_excl_constant, token)` and
-`subgradient_from(mu, token)`. A token is the flat index i * R + r of the
-argmax row, or for averaged problems each instance's argmax r.
+`add_argmax_row(g, token)`, which adds the row(s) of F that the token picks
+to g: a subgradient at mu is a + lam * sign(mu) plus those rows. A token is
+the flat index i * R + r of the argmax row, or for averaged problems each
+instance's argmax r.
 """
 
 from __future__ import annotations
@@ -145,10 +147,6 @@ class PiecewiseLinearProblem:
         """Objective value (constant excluded) and the argmax token; `out`
         as for _value_at."""
         return self._value_at(mu, self.scores(mu), out)
-
-    def subgradient_from(self, mu, token):
-        """Subgradient at mu for the argmax token."""
-        return self.add_argmax_row(self.a + self.lam * np.sign(mu), token)
 
     def add_argmax_row(self, g, token, scores=None, gram=None):
         """Add the row(s) of F picked by `token` to g in place; returns g.

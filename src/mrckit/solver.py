@@ -9,8 +9,13 @@ Methods:
                 state vector [mu | scores] that each step moves in place;
                 the subgradient's scores come from a row of the
                 precomputed n x n instance Gram psi psi^T
-  easm_restart  easm in segments, each restarted from the incumbent
+  easm_restart  easm in segments of restart_period steps, each started at
+                the best point so far with the schedule reset (k back to
+                1); the incumbent is kept across segments, and the run ends
+                "stalled" after a segment that found no better point
   lp            exact reformulation solved by the in-house simplex
+
+solve(problem, config), the one entry point, runs config.method.
 
 All four subgradient methods run one loop, started at mu = 0. They differ
 only in the step rule (bsm's normalized step, or the accelerated schedule)
@@ -89,7 +94,7 @@ def solve(problem, config):
     if method is None:
         method = "asm" if problem.average else "easm_restart"
     if method == "lp":
-        return solve_lp(problem, config)
+        return _solve_lp(problem)
     if method not in METHODS:
         raise SolverError(f"unknown solver method {method!r}")
     return _solve_accelerated(problem, config, method)
@@ -363,34 +368,8 @@ def _solve_accelerated(problem, config, method):
     )
 
 
-def solve_bsm(problem, config):
-    """Basic subgradient method with the normalized 1/sqrt(k+1) step."""
-    return _solve_accelerated(problem, config, "bsm")
-
-
-def solve_asm(problem, config):
-    """Accelerated subgradient method (extrapolated iterates, best tracking)."""
-    return _solve_accelerated(problem, config, "asm")
-
-
-def solve_easm(problem, config):
-    """Structured accelerated method; iterates match solve_asm exactly."""
-    return _solve_accelerated(problem, config, "easm")
-
-
-def solve_easm_restart(problem, config):
-    """solve_easm in segments of restart_period, restarting from the incumbent.
-
-    Each segment resets the extrapolation schedule (k back to 1) and starts
-    at the best point found so far; the incumbent is kept across segments.
-    The run ends "stalled" after a segment that found no better point.
-    """
-    return _solve_accelerated(problem, config, "easm_restart")
-
-
-def solve_lp(problem, config=None):
-    """Exact solve of the equivalent linear program (`config` is unused:
-    the simplex path has no settings).
+def _solve_lp(problem):
+    """Exact solve of the equivalent linear program.
 
     Variables (mu1, mu2, nu+, nu-, slack) with mu = mu1 - mu2; the slack
     basis built from nu is feasible, so no phase-1 pass is needed.

@@ -31,6 +31,12 @@ def row_problem(a, lam, F, b, constant=0.0):
         offsets=np.reshape(b, (-1, 1)), constant=constant)
 
 
+def subgradient_at(problem, mu, token):
+    """The subgradient at mu for the argmax token: a + lam * sign(mu) plus
+    the row(s) of F that the token picks."""
+    return problem.add_argmax_row(problem.a + problem.lam * np.sign(mu), token)
+
+
 def random_learning_problem(seed, n=40, d=3, num_classes=2, lambda0=0.3,
                             kind="identity", D=8):
     """A materialized learning problem from synthetic data (benign scaling)."""

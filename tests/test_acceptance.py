@@ -8,6 +8,7 @@ import collections
 import csv
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ import pytest
 from mrckit import classifier, estimate, features, objective
 from mrckit.cli import main as cli_main
 from mrckit.dataset import load_csv, save_csv
-from mrckit.solver import (SolverConfig, solve, solve_asm, solve_easm,
-                           solve_easm_restart, solve_lp)
+from mrckit.solver import SolverConfig, solve
 from conftest import (enumerate_phi, exact_risk_finite, make_blobs,
                       random_learning_problem, row_problem, rule_normalizer)
 
@@ -45,8 +45,8 @@ def test_criterion_01_iterate_identity():
         m, p = sizes[trial % 4]
         problem = random_plp(1000 + trial, m, p)
         cfg = SolverConfig(max_iters=10_000, record_iterates=True)
-        asm = solve_asm(problem, cfg)
-        easm = solve_easm(problem, cfg)
+        asm = solve(problem, replace(cfg, method="asm"))
+        easm = solve(problem, replace(cfg, method="easm"))
         diff = np.abs(asm.iterates - easm.iterates).max(axis=1)
         scale = np.maximum(1.0, np.abs(asm.iterates).max(axis=1))
         worst = max(worst, float((diff / scale).max()))
@@ -65,9 +65,9 @@ def test_criterion_02_oracle_equivalence():
             problem, *_ = random_learning_problem(
                 seed=300 + trial, n=40, num_classes=2, kind="rff", D=8)
         assert problem.dimension <= 50 and problem.num_rows <= 500
-        run = solve_easm_restart(problem, SolverConfig(
-            max_iters=200_000, restart_period=10_000))
-        lp = solve_lp(problem, SolverConfig())
+        run = solve(problem, SolverConfig(
+            method="easm_restart", max_iters=200_000, restart_period=10_000))
+        lp = solve(problem, SolverConfig(method="lp"))
         worst = max(worst, run.best_value - lp.best_value)
     report(2, worst <= 1e-3,
            f"E-ASM-R (2e5 iters) within {worst:.2e} (<= 1e-3) of the exact "
@@ -219,8 +219,8 @@ def test_criterion_07_periteration_speedup():
     problem = objective.build_learning_problem(unc, X, spec)
     assert problem.num_rows >= 5000 and problem.dimension >= 1000
     iters = 1500
-    asm = solve_asm(problem, SolverConfig(max_iters=iters))
-    easm = solve_easm(problem, SolverConfig(max_iters=iters))
+    asm = solve(problem, SolverConfig(method="asm", max_iters=iters))
+    easm = solve(problem, SolverConfig(method="easm", max_iters=iters))
     t_asm = asm.timings["loop_seconds"] / iters
     t_easm = easm.timings["loop_seconds"] / iters
     gamma = easm.sparsity_gamma

@@ -31,6 +31,12 @@ def run_cli(*args):
     return main(list(args))
 
 
+def trace_iterations(path):
+    """The iteration column of a trace CSV."""
+    with open(path, newline="") as fh:
+        return [int(row[0]) for row in list(csv.reader(fh))[1:]]
+
+
 def train_args(data, out, **extra):
     args = ["train", "--data", data, "--out", out,
             "--features", "identity", "--solver", "lp", "--seed", "1"]
@@ -171,6 +177,11 @@ def test_every_solve_reports_the_same_fields(blob_csv, tmp_path):
     assert len(methods) == 4
     for run in methods.values():
         assert set(run) - {"initial_value", "trace", "gap_to_lp"} == fields
+    # train traces every 100th iteration, bench-solvers every iteration
+    assert trace_iterations(report["trace_path"]) == \
+        list(range(0, report["runs"]["upper"]["iterations"] + 1, 100))
+    for run in methods.values():
+        assert trace_iterations(run["trace"]) == list(range(run["iterations"] + 1))
     # flags.solver names the method that ran
     assert report["flags"]["solver"] == "easm-restart"
     assert report["runs"]["upper"]["method"] == "easm_restart"

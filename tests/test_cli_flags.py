@@ -48,6 +48,8 @@ REQUIRED = {
     ("model-select", "--select-anchor-size", "400"),
     *[(command, "--rff-seed", "7") for command in
       ("train", "sweep-lambda", "reduce-study", "bench-solvers", "model-select")],
+    ("train", "--trace-every", "100"),
+    ("bench-solvers", "--trace-every", "1"),
 ])
 def test_study_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag, value):
     # the data file does not exist: a command that ran would exit 1
@@ -60,24 +62,13 @@ def test_study_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag, 
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "bench-solvers"])
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_trace_every_below_one_is_a_usage_error(tmp_path, capsys, command, value):
-    argv = [command, "--data", str(tmp_path / "absent.csv"), "--out",
-            str(tmp_path / "o"), "--trace-every", value]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"argument --trace-every: must be at least 1, got {value}" \
-        in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
 @pytest.mark.parametrize("command,flag", [
     ("train", "--max-iters"),
     ("train", "--restart-period"),
+    ("train", "--D"),
     ("reduce-study", "--max-iters"),
     ("model-select", "--select-max-iters"),
+    ("model-select", "--D"),
 ])
 def test_zero_count_is_a_usage_error(tmp_path, capsys, command, flag):
     # the data file does not exist: a command that ran would exit 1
@@ -87,6 +78,22 @@ def test_zero_count_is_a_usage_error(tmp_path, capsys, command, flag):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "bounds", "reduce-study", "bench-solvers",
+                                     "model-select"])
+@pytest.mark.parametrize("value", ["0", "1", "1.5"])
+def test_delta_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys, command,
+                                                          value):
+    # the input file does not exist: a command that ran would exit 1
+    source = "--model" if command == "bounds" else "--data"
+    argv = [command, source, str(tmp_path / "absent"), "--out", str(tmp_path / "o"),
+            *REQUIRED.get(command, []), "--delta", value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument --delta: must lie in (0, 1), got {value}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -114,7 +121,21 @@ def test_non_finite_float_is_a_usage_error(blob_csv, tmp_path, capsys, command, 
         main([command, *inputs, "--out", str(out), *extra, flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: " in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-lambda", "--lambda0-grid", ","],
+    ["reduce-study", "--sizes", "0"],
+    ["reduce-study", "--sizes", "20", "--reps", "0"],
+    ["model-select", "--sigma-grid", "x"],
+], ids=["lambda0-grid", "sizes", "reps", "sigma-grid"])
+def test_study_checks_its_grid_before_reading_data(tmp_path, capsys, argv):
+    # the data file does not exist: a study that read it first would name it
+    out = tmp_path / "o"
+    assert main([*argv, "--data", str(tmp_path / "absent.csv"), "--out", str(out)]) == 1
+    assert "absent.csv" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def no_fit(*args, **kwargs):

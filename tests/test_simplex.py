@@ -3,7 +3,7 @@ import pytest
 
 from mrckit.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, _distinct,
                             solve_standard_form)
-from mrckit.solver import solve_lp
+from mrckit.solver import SolverConfig, solve
 
 from conftest import exact_lp_rule_problems
 
@@ -172,7 +172,7 @@ RULE_LP_PIVOT_BOUND = 1000
 @pytest.mark.parametrize("seed,dataset", DEGENERATE_SETS)
 def test_degenerate_rule_lps_solve_within_pivot_bound(seed, dataset):
     for problem in exact_lp_rule_problems(seed, dataset):
-        run = solve_lp(problem)
+        run = solve(problem, SolverConfig(method="lp"))
         assert run.status == "optimal"
         assert run.iterations_done <= RULE_LP_PIVOT_BOUND
         # the LP optimum is the objective at the returned mu

@@ -13,12 +13,13 @@ from scipy.optimize import linprog  # noqa: E402
 from mrckit import classifier, estimate, features, objective, simplex  # noqa: E402
 from mrckit.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED,  # noqa: E402
                             solve_standard_form)
-from mrckit.solver import solve_lp  # noqa: E402
+from mrckit.solver import SolverConfig, solve  # noqa: E402
 
 from conftest import (exact_lp_rule_problems, exact_lp_training_set,  # noqa: E402
                       random_learning_problem)
 
 HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+LP = SolverConfig(method="lp")
 
 
 def agree(ours, reference):
@@ -129,12 +130,12 @@ def test_unbounded_and_infeasible_match_highs():
 def test_solve_lp_matches_highs(seed):
     problem, unc, X, labels, spec = random_learning_problem(
         seed, n=30, num_classes=3, kind="rff" if seed % 2 else "identity")
-    assert agree(solve_lp(problem).best_value, highs_problem_optimum(problem))
+    assert agree(solve(problem, LP).best_value, highs_problem_optimum(problem))
     psi = features.scalar_feature_matrix(spec, X)
     h = np.eye(3)[labels - 1]
     high = objective.build_upper_bound_problem(unc, psi, h)
     for bound in (high, objective.lower_from_upper(high)):
-        assert agree(solve_lp(bound).best_value, highs_problem_optimum(bound))
+        assert agree(solve(bound, LP).best_value, highs_problem_optimum(bound))
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.7])
@@ -155,7 +156,7 @@ def test_ensure_feasible_matches_highs(shift):
 @pytest.mark.parametrize("seed,dataset", [(1, 3), (2, 4), (2, 6), (2, 7)])
 def test_degenerate_rule_lps_match_highs(seed, dataset):
     for problem in exact_lp_rule_problems(seed, dataset):
-        assert agree(solve_lp(problem).best_value, highs_problem_optimum(problem))
+        assert agree(solve(problem, LP).best_value, highs_problem_optimum(problem))
 
 
 def test_large_perturbation_still_lands_on_the_true_optimum(monkeypatch):
@@ -164,7 +165,7 @@ def test_large_perturbation_still_lands_on_the_true_optimum(monkeypatch):
     monkeypatch.setattr(simplex, "PERTURBATION", 1e-2)
     high, low = exact_lp_rule_problems(1, 3)
     for problem in (high, low):
-        assert agree(solve_lp(problem).best_value, highs_problem_optimum(problem))
+        assert agree(solve(problem, LP).best_value, highs_problem_optimum(problem))
     rng = np.random.default_rng(23)
     for _ in range(10):
         c, A, b = random_unit_lp(rng, p=12, dense=15)

@@ -5,10 +5,8 @@ import pytest
 
 from mrckit import solver
 from mrckit.solver import (DivergenceError, SolverConfig, SolverError,
-                           UnboundedObjectiveError, _schedule_arrays, solve,
-                           solve_asm, solve_bsm, solve_easm,
-                           solve_easm_restart, solve_lp)
-from conftest import random_learning_problem, row_problem
+                           UnboundedObjectiveError, _schedule_arrays, solve)
+from conftest import random_learning_problem, row_problem, subgradient_at
 
 
 def abs_value_problem():
@@ -47,7 +45,7 @@ def test_subgradient_assembly():
         a=np.array([1.0, -1.0]), lam=np.array([0.1, 0.1]),
         F=np.array([[0.5, 0.5], [1.0, 1.0]]), b=np.zeros(2))
     mu = np.array([2.0, -3.0])
-    g = problem.subgradient_from(mu, problem.evaluate(mu)[1])
+    g = subgradient_at(problem, mu, problem.evaluate(mu)[1])
     assert np.allclose(g, [1.6, -0.6], atol=1e-15)
 
 
@@ -55,14 +53,14 @@ def test_subgradient_sign_zero_and_ties():
     problem = row_problem(
         a=np.array([0.3]), lam=np.array([1.0]),
         F=np.array([[2.0], [2.0]]), b=np.zeros(2))
-    g = problem.subgradient_from(np.zeros(1), problem.evaluate(np.zeros(1))[1])
+    g = subgradient_at(problem, np.zeros(1), problem.evaluate(np.zeros(1))[1])
     assert g[0] == pytest.approx(0.3 + 2.0)  # sign(0) = 0, lowest row wins
     _, token = problem.evaluate(np.ones(1))
     assert token == 0  # two identical max rows: lowest index
 
 
 def test_bsm_on_abs_value():
-    run = solve_bsm(shifted_abs_value_problem(), SolverConfig(max_iters=10_000))
+    run = solve(shifted_abs_value_problem(), SolverConfig(method="bsm", max_iters=10_000))
     assert run.best_value <= 1e-2
     assert run.best_value >= 0.0
 
@@ -70,7 +68,7 @@ def test_bsm_on_abs_value():
 def test_bsm_constant_objective_stops():
     problem = row_problem(
         a=np.zeros(1), lam=np.zeros(1), F=np.zeros((1, 1)), b=np.zeros(1))
-    run = solve_bsm(problem, SolverConfig(max_iters=100))
+    run = solve(problem, SolverConfig(method="bsm", max_iters=100))
     assert run.status == "stationary"
     assert run.iterations_done == 1
     assert run.best_value == 0.0
@@ -78,9 +76,9 @@ def test_bsm_constant_objective_stops():
 
 def test_bsm_divergence_floor():
     # the first step, of length 1/sqrt(2), already falls below -1e9
-    cfg = SolverConfig(max_iters=100_000)
+    cfg = SolverConfig(method="bsm", max_iters=100_000)
     with pytest.raises(DivergenceError, match="floor"):
-        solve_bsm(unbounded_problem(slope=-1e10), cfg)
+        solve(unbounded_problem(slope=-1e10), cfg)
 
 
 def test_schedule_values():
@@ -94,7 +92,7 @@ def test_schedule_values():
 
 
 def test_asm_on_abs_value():
-    run = solve_asm(shifted_abs_value_problem(), SolverConfig(max_iters=10_000))
+    run = solve(shifted_abs_value_problem(), SolverConfig(method="asm", max_iters=10_000))
     assert run.best_value <= 1e-3
 
 
@@ -104,14 +102,14 @@ def test_easm_requires_materialized():
     unc = estimate.UncertaintySet(np.zeros(2), np.zeros(2))
     fm = replace(objective.build_learning_problem(unc, np.ones((2, 1)), spec), average=True)
     with pytest.raises(SolverError, match="max over rows"):
-        solve_easm(fm, SolverConfig(max_iters=10))
+        solve(fm, SolverConfig(method="easm", max_iters=10))
 
 
 def test_easm_memory_budget(monkeypatch):
     problem, *_ = random_learning_problem(seed=0, n=20)
     monkeypatch.setattr(solver, "EASM_BUDGET_BYTES", 8)
     with pytest.raises(SolverError, match="budget"):
-        solve_easm(problem, SolverConfig(max_iters=10))
+        solve(problem, SolverConfig(method="easm", max_iters=10))
 
 
 def test_easm_halfcolumn_update_by_hand():
@@ -137,8 +135,8 @@ def test_easm_exercises_halfcolumn_branch(rng):
     # starting from an exact zero component forces delta in {-1, +1}
     problem = random_plp(rng)
     cfg = SolverConfig(max_iters=50, record_iterates=True)
-    run_a = solve_asm(problem, cfg)
-    run_e = solve_easm(problem, cfg)
+    run_a = solve(problem, replace(cfg, method="asm"))
+    run_e = solve(problem, replace(cfg, method="easm"))
     signs = np.sign(run_e.iterates)
     deltas = np.abs(np.diff(signs, axis=0))
     assert np.any(deltas == 1)  # half-column branch hit
@@ -149,8 +147,8 @@ def test_asm_easm_iterate_identity(rng):
     problem, *_ = random_learning_problem(seed=11, n=25, num_classes=3,
                                           kind="rff", D=6)
     cfg = SolverConfig(max_iters=1000, record_iterates=True)
-    asm = solve_asm(problem, cfg)
-    easm = solve_easm(problem, cfg)
+    asm = solve(problem, replace(cfg, method="asm"))
+    easm = solve(problem, replace(cfg, method="easm"))
     diff = np.abs(asm.iterates - easm.iterates).max(axis=1)
     scale = np.maximum(1.0, np.abs(asm.iterates).max(axis=1))
     assert np.max(diff / scale) <= 1e-9
@@ -161,8 +159,8 @@ def test_easm_matches_asm_past_subset_cap():
     problem, *_ = random_learning_problem(seed=12, n=8, num_classes=13)
     assert problem.weights is None
     cfg = SolverConfig(max_iters=300, record_iterates=True)
-    asm = solve_asm(problem, cfg)
-    easm = solve_easm(problem, cfg)
+    asm = solve(problem, replace(cfg, method="asm"))
+    easm = solve(problem, replace(cfg, method="easm"))
     assert np.allclose(asm.iterates, easm.iterates, atol=1e-10)
     assert easm.best_value == problem.objective(easm.best_mu)
 
@@ -171,8 +169,8 @@ def test_easm_matches_asm_on_random_plp(rng):
     for seed in range(3):
         problem = random_plp(np.random.default_rng(seed), m=15, p=40)
         cfg = SolverConfig(max_iters=500, record_iterates=True)
-        asm = solve_asm(problem, cfg)
-        easm = solve_easm(problem, cfg)
+        asm = solve(problem, replace(cfg, method="asm"))
+        easm = solve(problem, replace(cfg, method="easm"))
         assert np.allclose(asm.iterates, easm.iterates, atol=1e-10)
 
 
@@ -198,18 +196,17 @@ def test_trace_every_selects_the_rows_and_must_be_at_least_one():
 
 def test_restart_noop_when_period_covers_budget():
     problem, *_ = random_learning_problem(seed=4, n=15)
-    base = solve_easm(problem, SolverConfig(max_iters=500))
-    restart = solve_easm_restart(
-        problem, SolverConfig(max_iters=500, restart_period=500))
+    base = solve(problem, SolverConfig(method="easm", max_iters=500))
+    restart = solve(problem, SolverConfig(method="easm_restart", max_iters=500,
+                                          restart_period=500))
     assert restart.best_value == base.best_value
     assert np.array_equal(restart.best_mu, base.best_mu)
 
 
 def test_restart_carries_best_across_boundary():
     problem, *_ = random_learning_problem(seed=5, n=15)
-    run = solve_easm_restart(
-        problem, SolverConfig(max_iters=600, restart_period=150,
-                              trace_every=1))
+    run = solve(problem, SolverConfig(method="easm_restart", max_iters=600,
+                                      restart_period=150, trace_every=1))
     best = [row[2] for row in run.trace]
     assert all(a >= b - 1e-15 for a, b in zip(best, best[1:]))
     # the second segment finds no better point, so a third would replay it
@@ -220,8 +217,8 @@ def test_restart_carries_best_across_boundary():
 @pytest.mark.parametrize("seed", [5, 6, 9])
 def test_stalled_restart_returns_the_full_budget_point(seed):
     problem, *_ = random_learning_problem(seed=seed, n=15)
-    cfg = SolverConfig(max_iters=1500, restart_period=150)
-    run = solve_easm_restart(problem, cfg)
+    cfg = SolverConfig(method="easm_restart", max_iters=1500, restart_period=150)
+    run = solve(problem, cfg)
     assert run.status == "stalled" and run.iterations_done < cfg.max_iters
     # reference: every segment of the budget, restarted from the incumbent
     recursion = solver._Recursion(problem)
@@ -247,9 +244,9 @@ def test_restart_extends_reach_with_full_reset():
     problem = row_problem(
         a=np.zeros(1), lam=np.zeros(1),
         F=np.array([[1.0], [-1.0]]), b=np.array([-t, t]))
-    plain = solve_easm(problem, SolverConfig(max_iters=2000))
-    restarted = solve_easm_restart(
-        problem, SolverConfig(max_iters=2000, restart_period=200))
+    plain = solve(problem, SolverConfig(method="easm", max_iters=2000))
+    restarted = solve(problem, SolverConfig(method="easm_restart", max_iters=2000,
+                                            restart_period=200))
     assert restarted.best_value < plain.best_value - 10.0
 
 
@@ -259,16 +256,16 @@ def test_restart_competitive_at_equal_iterations():
     for seed in range(6):
         problem, *_ = random_learning_problem(seed=100 + seed, n=30,
                                               kind="rff", D=5)
-        plain = solve_easm(problem, SolverConfig(max_iters=4000))
-        seg1 = solve_easm(problem, SolverConfig(max_iters=500))
-        restarted = solve_easm_restart(
-            problem, SolverConfig(max_iters=4000, restart_period=500))
+        plain = solve(problem, SolverConfig(method="easm", max_iters=4000))
+        seg1 = solve(problem, SolverConfig(method="easm", max_iters=500))
+        restarted = solve(problem, SolverConfig(method="easm_restart", max_iters=4000,
+                                                restart_period=500))
         assert restarted.best_value <= seg1.best_value + 1e-9
         assert restarted.best_value <= plain.best_value + 2e-3
 
 
 def test_lp_abs_value_exact():
-    run = solve_lp(abs_value_problem(), SolverConfig())
+    run = solve(abs_value_problem(), SolverConfig(method="lp"))
     assert run.best_value == pytest.approx(0.0, abs=1e-12)
     assert run.best_mu[0] == pytest.approx(0.0, abs=1e-12)
     assert run.certificate == "lp"
@@ -276,21 +273,21 @@ def test_lp_abs_value_exact():
 
 def test_lp_unbounded():
     with pytest.raises(UnboundedObjectiveError):
-        solve_lp(unbounded_problem(), SolverConfig())
+        solve(unbounded_problem(), SolverConfig(method="lp"))
 
 
 def test_lp_size_budget(monkeypatch):
     problem, *_ = random_learning_problem(seed=6, n=10)
     monkeypatch.setattr(solver, "LP_MAX_ROWS", 5)
     with pytest.raises(SolverError, match="budget"):
-        solve_lp(problem, SolverConfig())
+        solve(problem, SolverConfig(method="lp"))
 
 
 def test_lp_dominates_subgradient_methods(rng):
     for seed in range(5):
         problem, *_ = random_learning_problem(seed=200 + seed, n=12,
                                               num_classes=2)
-        lp = solve_lp(problem, SolverConfig())
+        lp = solve(problem, SolverConfig(method="lp"))
         for method in ("bsm", "asm", "easm"):
             run = solve(problem, SolverConfig(method=method, max_iters=1500))
             assert run.best_value >= lp.best_value - 1e-9
@@ -313,7 +310,7 @@ def test_easm_reports_exact_value_at_best_mu():
 
 def test_gamma_recorded(rng):
     problem, *_ = random_learning_problem(seed=9, n=20)
-    run = solve_easm(problem, SolverConfig(max_iters=300))
+    run = solve(problem, SolverConfig(method="easm", max_iters=300))
     assert run.sparsity_gamma is not None
     assert 0.0 <= run.sparsity_gamma <= 1.0
 
@@ -479,7 +476,7 @@ def test_loop_matches_reference_bit_for_bit(name, monkeypatch):
 def test_segment_with_incumbent_matches_reference():
     # a segment started away from its incumbent, which it must beat
     problem, *_ = random_learning_problem(seed=25, n=20, num_classes=3, kind="rff", D=3)
-    first = solve_easm(problem, SolverConfig(max_iters=60))
+    first = solve(problem, SolverConfig(method="easm", max_iters=60))
     start = np.full(problem.dimension, 0.05)
     for recursion_type, basic in ((None, True), (None, False),
                                   (solver._Recursion, False)):
