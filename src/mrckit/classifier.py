@@ -69,7 +69,9 @@ def train(data, spec=None, *, lambda_mode="practical", lambda0=0.3, delta=0.05,
     set is empty: "auto" repairs after an unboundedness signal, "always"
     repairs up front, "never" propagates the error.
     """
-    stats, X, spec, unc, psi = estimate_uncertainty(
+    if spec is None:
+        spec = features.rff_spec(data.num_classes, data.d)
+    stats, X, unc, psi = estimate_uncertainty(
         data, spec, lambda_mode=lambda_mode, lambda0=lambda0, delta=delta,
         rademacher_R=rademacher_R, normalize=normalize)
     if anchor is not None:  # else the training set is the pool, mapped once
@@ -82,15 +84,13 @@ def train(data, spec=None, *, lambda_mode="practical", lambda0=0.3, delta=0.05,
                normalization=stats, label_names=data.label_names)
 
 
-def estimate_uncertainty(data, spec=None, *, lambda_mode="practical",
+def estimate_uncertainty(data, spec, *, lambda_mode="practical",
                          lambda0=0.3, delta=0.05, rademacher_R=None,
                          normalize=True):
     """Estimation step of training: normalize, then estimate tau and lambda.
 
-    Returns (normalization stats or None, normalized instances, feature
-    spec, uncertainty set, the instances' scalar features psi). An identity
-    spec without a feature bound comes back as a copy that records the
-    bound C; the caller's spec is not changed.
+    Returns (normalization stats or None, normalized instances, uncertainty
+    set, the instances' scalar features psi under `spec`).
     """
     stats = None
     X = data.instances
@@ -100,8 +100,6 @@ def estimate_uncertainty(data, spec=None, *, lambda_mode="practical",
     y = data.labels
     n = data.n
 
-    if spec is None:
-        spec = features.rff_spec(data.num_classes, data.d)
     if spec.num_classes != data.num_classes:
         raise ValueError("feature spec class count does not match the data")
     if spec.d != data.d:
@@ -112,8 +110,6 @@ def estimate_uncertainty(data, spec=None, *, lambda_mode="practical",
     tau, var = estimate.tau_and_variance_from_scalars(
         psi, y, spec.num_classes, want_variance=want_var and n >= 2)
     C = features.feature_bound(spec, X)
-    if spec.kind == features.KIND_IDENTITY and spec.feature_bound is None:
-        spec = dataclasses.replace(spec, feature_bound=C)
     family_size = features.block_dim(spec)
 
     if lambda_mode == "hoeffding":
@@ -135,10 +131,9 @@ def estimate_uncertainty(data, spec=None, *, lambda_mode="practical",
 
     provenance = {
         "lambda_mode": lambda_mode, "delta": delta, "lambda0": lambda0,
-        "rademacher_R": rademacher_R, "C": C, "family_size": family_size,
-        "n": n,
+        "rademacher_R": rademacher_R, "C": C, "n": n,
     }
-    return stats, X, spec, estimate.UncertaintySet(tau, lam, provenance), psi
+    return stats, X, estimate.UncertaintySet(tau, lam, provenance), psi
 
 
 def fit(uncertainty, anchor, psi, spec, solver_config, *, variant="standard",
@@ -368,11 +363,12 @@ def _pair_bounds(high, solver_config):
 
 
 def hoeffding_lambda(model, delta):
-    """max(lambda, the Hoeffding width at `delta`); C, family_size, n from provenance."""
+    """max(lambda, the Hoeffding width at `delta`): C and n from provenance,
+    the family size |F| from the feature map."""
     prov = model.uncertainty.provenance
-    C, family_size, n = (_field_number(prov.get(key), f"provenance.{key}")
-                         for key in ("C", "family_size", "n"))
-    width = estimate.lambda_hoeffding(C, family_size, model.num_classes, delta, n)
+    C, n = (_field_number(prov.get(key), f"provenance.{key}") for key in ("C", "n"))
+    width = estimate.lambda_hoeffding(C, features.block_dim(model.feature_spec),
+                                      model.num_classes, delta, n)
     return np.maximum(model.uncertainty.lam, width)
 
 
@@ -477,16 +473,36 @@ def _field_spec(value):
         if isinstance(count, bool) or not isinstance(count, int) or count < least:
             raise ValueError(f"model field 'feature_spec.{key}' must be an "
                              f"integer of at least {least}")
-    for key in ("sigma", "feature_bound"):
-        if value.get(key) is not None:
-            _field_number(value[key], f"feature_spec.{key}")
-    if not isinstance(value.get("include_constant", False), bool):
+    if value.get("sigma") is not None:
+        _field_number(value["sigma"], "feature_spec.sigma")
+    # older files carry include_constant; only its false value is still computed
+    if value.get("include_constant") not in (None, False):
         raise ValueError("model field 'feature_spec.include_constant' must be "
-                         "true or false")
+                         "false: no constant feature is computed")
     try:
         return features.spec_from_dict(value)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"model field 'feature_spec' is malformed: {exc!r}") from None
+
+
+def _field_bounds(payload):
+    """(minimax_risk, lower_bound, raw_bounds) of a model file: every raw
+    bound is a finite number, and each reported bound lies in [0, 1] and
+    equals its raw bound clamped, when that is present."""
+    raw = payload.get("raw_bounds", {})
+    for key, value in raw.items():
+        _field_number(value, f"raw_bounds.{key}")
+    bounds = []
+    for name, side in (("minimax_risk", "upper"), ("lower_bound", "lower")):
+        value = payload[name]
+        if value is not None or side == "upper":
+            if not 0.0 <= _field_number(value, name) <= 1.0:
+                raise ValueError(f"model field {name!r} must lie in [0, 1]")
+        if side in raw and value != _clamp(raw[side]):
+            raise ValueError(f"model field {name!r} must equal raw_bounds.{side} "
+                             "clamped to [0, 1]")
+        bounds.append(value)
+    return (*bounds, raw)
 
 
 def load_model(path):
@@ -523,12 +539,11 @@ def load_model(path):
         raise ValueError(
             f"model field 'label_names' must list {spec.num_classes} names")
     mu_lower = payload["mu_lower"]
+    minimax_risk, lower_bound, raw_bounds = _field_bounds(payload)
     return MrcModel(
         mu_star=_field_array(payload["mu_star"], "mu_star", (m,)),
         phi_star=_field_number(payload["phi_star"], "phi_star"),
-        minimax_risk=_field_number(payload["minimax_risk"], "minimax_risk"),
-        lower_bound=None if payload["lower_bound"] is None
-        else _field_number(payload["lower_bound"], "lower_bound"),
+        minimax_risk=minimax_risk, lower_bound=lower_bound,
         uncertainty=estimate.UncertaintySet(
             _field_array(payload["tau"], "tau", (m,)),
             _field_array(payload["lambda"], "lambda", (m,)),
@@ -542,6 +557,6 @@ def load_model(path):
         variant=payload["variant"],
         mu_lower=None if mu_lower is None
         else _field_array(mu_lower, "mu_lower", (m,)),
-        raw_bounds=payload.get("raw_bounds", {}),
+        raw_bounds=raw_bounds,
         solver_info=payload.get("solver_info", {}),
     )

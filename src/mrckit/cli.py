@@ -237,7 +237,6 @@ def _report_base(args):
         "version": __version__,
         "command": args.command,
         "flags": {k: v for k, v in vars(args).items() if k != "command"},
-        "seed": getattr(args, "seed", None),
     }
 
 
@@ -487,7 +486,6 @@ def cmd_reduce_study(args):
         anchor=pool, repair="always", compute_lower=False)
     upper_full = model_full.raw_bounds["upper"]
     unc = model_full.uncertainty
-    spec = model_full.feature_spec
 
     # the subsets are drawn here, in order, and fitted side by side
     cells, subsets = [], []
@@ -528,8 +526,8 @@ def cmd_bench_solvers(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = load_csv(args.data, has_header=args.has_header)
-    _, _, spec, unc, psi = classifier.estimate_uncertainty(
-        data, _spec_from_args(args, data), **_uncertainty_args(args))
+    spec = _spec_from_args(args, data)
+    _, _, unc, psi = classifier.estimate_uncertainty(data, spec, **_uncertainty_args(args))
     problem = objective.learning_problem(unc, psi, spec.num_classes)
 
     methods = [method for method in METHODS if method != "lp"]

@@ -38,8 +38,6 @@ class FeatureMapSpec:
     D: int | None = None           # number of frequency vectors (random_fourier)
     sigma: float | None = None     # kernel scale, units of normalized instances
     seed: int | None = None
-    include_constant: bool = False  # prepend a constant-1 scalar feature
-    feature_bound: float | None = None  # C = sup |scalar feature|
     _frequencies: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -56,8 +54,6 @@ class FeatureMapSpec:
                 raise ValueError("sigma must be positive")
             if self.seed is None:
                 self.seed = 0
-            if self.feature_bound is None:
-                self.feature_bound = 1.0
 
 
 def default_sigma(d):
@@ -65,20 +61,17 @@ def default_sigma(d):
     return math.sqrt(d / 2.0)
 
 
-def rff_spec(num_classes, d, D=500, sigma=None, seed=0, include_constant=False):
-    return FeatureMapSpec(KIND_RFF, num_classes, d, D=D, sigma=sigma, seed=seed,
-                          include_constant=include_constant)
+def rff_spec(num_classes, d, D=500, sigma=None, seed=0):
+    return FeatureMapSpec(KIND_RFF, num_classes, d, D=D, sigma=sigma, seed=seed)
 
 
-def identity_spec(num_classes, d, include_constant=False):
-    return FeatureMapSpec(KIND_IDENTITY, num_classes, d,
-                          include_constant=include_constant)
+def identity_spec(num_classes, d):
+    return FeatureMapSpec(KIND_IDENTITY, num_classes, d)
 
 
 def block_dim(spec):
     """Number of scalar features per class block."""
-    base = spec.d if spec.kind == KIND_IDENTITY else 2 * spec.D
-    return base + (1 if spec.include_constant else 0)
+    return spec.d if spec.kind == KIND_IDENTITY else 2 * spec.D
 
 
 def feature_dim(spec):
@@ -102,16 +95,12 @@ def scalar_feature_matrix(spec, X):
     if X.shape[1] != spec.d:
         raise ValueError(f"instances have dimension {X.shape[1]}, spec expects {spec.d}")
     if spec.kind == KIND_IDENTITY:
-        if not spec.include_constant:
-            return X
-        return np.hstack([np.ones((X.shape[0], 1)), X])
+        return X
     Z = X @ frequencies(spec).T
-    # [1 | cos, sin interleaved] in one buffer, so psi is never copied
+    # cos, sin interleaved in one buffer, so psi is never copied
     psi = np.empty((X.shape[0], block_dim(spec)))
-    first = 1 if spec.include_constant else 0
-    psi[:, :first] = 1.0
-    np.cos(Z, out=psi[:, first::2])
-    np.sin(Z, out=psi[:, first + 1::2])
+    np.cos(Z, out=psi[:, 0::2])
+    np.sin(Z, out=psi[:, 1::2])
     return psi
 
 
@@ -150,7 +139,7 @@ def block_labels(spec):
     return np.repeat(np.arange(1, spec.num_classes + 1), block_dim(spec))
 
 
-def feature_bound(spec, X=None):
+def feature_bound(spec, X):
     """Scalar-feature bound C needed by the confidence-vector formulas.
 
     Random Fourier features are bounded by 1. For the identity map the bound
@@ -158,14 +147,7 @@ def feature_bound(spec, X=None):
     """
     if spec.kind == KIND_RFF:
         return 1.0
-    if spec.feature_bound is not None:
-        return spec.feature_bound
-    if X is None:
-        raise ValueError("identity feature bound requires training instances")
-    bound = float(np.max(np.abs(X)))
-    if spec.include_constant:
-        bound = max(bound, 1.0)
-    return bound
+    return float(np.max(np.abs(X)))
 
 
 def spec_to_dict(spec):
@@ -176,8 +158,6 @@ def spec_to_dict(spec):
         "D": spec.D,
         "sigma": spec.sigma,
         "seed": spec.seed,
-        "include_constant": spec.include_constant,
-        "feature_bound": spec.feature_bound,
         "rng": RNG_NAME if spec.kind == KIND_RFF else None,
     }
 
@@ -190,6 +170,4 @@ def spec_from_dict(payload):
         D=payload.get("D"),
         sigma=payload.get("sigma"),
         seed=payload.get("seed"),
-        include_constant=payload.get("include_constant", False),
-        feature_bound=payload.get("feature_bound"),
     )

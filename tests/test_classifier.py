@@ -46,8 +46,8 @@ def test_train_leaves_caller_spec_unchanged():
     ds = make_blobs(30, d=2, seed=0)
     spec = features.identity_spec(2, 2)
     model = train(ds, spec, solver_config=LP)
-    assert spec.feature_bound is None
-    assert model.feature_spec.feature_bound == model.uncertainty.provenance["C"]
+    assert spec == features.identity_spec(2, 2)
+    assert model.feature_spec == spec
 
 
 def test_huge_lambda_forces_uniform():

@@ -648,6 +648,44 @@ def test_malformed_model_file_exit_1(blob_csv, tmp_path, capsys, edit, field):
         assert "Traceback" not in err
 
 
+def test_model_file_of_the_previous_format_gives_the_same_outputs(blob_csv, tmp_path,
+                                                                  capsys):
+    # files that still carry feature_spec.include_constant and feature_bound
+    # and provenance.family_size load, and those keys are ignored
+    out = tmp_path / "out"
+    run_cli(*train_args(blob_csv, str(out)))
+    payload = json.loads((out / "model.json").read_text())
+    assert not {"include_constant", "feature_bound"} & payload["feature_spec"].keys()
+    assert "family_size" not in payload["provenance"]
+    old = json.loads((out / "model.json").read_text())
+    old["feature_spec"].update(include_constant=False,
+                               feature_bound=payload["provenance"]["C"])
+    old["provenance"]["family_size"] = payload["feature_spec"]["d"]
+    outputs = []
+    for name, model in (("new", payload), ("old", old)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(model))
+        assert run_cli("predict", "--model", str(path), "--data", blob_csv, "--proba",
+                       "--out", str(tmp_path / name)) == 0
+        assert run_cli("bounds", "--model", str(path), "--out", str(tmp_path / name),
+                       "--lambda-delta-mode", "hoeffding", "--delta", "0.05") == 0
+        report = json.loads((tmp_path / name / "bounds.json").read_text())
+        outputs.append(((tmp_path / name / "predictions.csv").read_bytes(),
+                        report["high_confidence"]))
+    assert outputs[0] == outputs[1]
+    # a constant feature is no longer computed, so a file that asks for one
+    # is refused
+    old["feature_spec"]["include_constant"] = True
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    capsys.readouterr()
+    for command in (["predict", "--data", blob_csv], ["bounds"]):
+        code = run_cli(command[0], "--model", str(tmp_path / "old.json"),
+                       "--out", str(tmp_path / "o"), *command[1:])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: model field 'feature_spec.include_constant'")
+
+
 def test_bounds_command(blob_csv, tmp_path):
     out = str(tmp_path / "out")
     run_cli(*train_args(blob_csv, out))
@@ -740,7 +778,8 @@ def test_hoeffding_lambda_reads_provenance(blob_csv, tmp_path):
     run_cli(*train_args(blob_csv, str(out)))
     model = classifier.load_model(str(out / "model.json"))
     prov = model.uncertainty.provenance
-    width = estimate.lambda_hoeffding(prov["C"], prov["family_size"], 2, 0.1, prov["n"])
+    width = estimate.lambda_hoeffding(prov["C"], features.block_dim(model.feature_spec), 2,
+                                      0.1, prov["n"])
     assert np.array_equal(classifier.hoeffding_lambda(model, 0.1),
                           np.maximum(model.uncertainty.lam, width))
 

@@ -85,33 +85,23 @@ def test_sum_over_labels_reproduces_scalars(rng):
     assert blocks == [False, True, False]
 
 
-def test_constant_feature_flag():
-    spec = features.rff_spec(2, 2, D=3, seed=0, include_constant=True)
-    assert features.block_dim(spec) == 7
-    psi = features.scalar_feature_matrix(spec, np.zeros(2))[0]
-    assert psi[0] == 1.0
-
-
 @pytest.mark.parametrize("rows,blocks", [
     (1, False),
     (1024, False),
     (1025, True),
     (2049, True),  # odd: the two blocks differ in size
 ])
-@pytest.mark.parametrize("constant", [False, True])
-def test_threaded_rff_matches_serial(rows, blocks, constant):
+def test_threaded_rff_matches_serial(rows, blocks):
     # (named when cos/sin ran on threads) the map equals elementwise cos/sin,
     # and rows mapped in two blocks equal the same rows mapped at once
     D = 64
-    spec = features.rff_spec(2, 3, D=D, seed=1, include_constant=constant)
+    spec = features.rff_spec(2, 3, D=D, seed=1)
     X = np.random.default_rng(rows).normal(size=(rows, 3))
     psi = features.scalar_feature_matrix(spec, X)
     Z = X @ features.frequencies(spec).T
     expected = np.empty((rows, 2 * D))
     expected[:, 0::2] = np.cos(Z)
     expected[:, 1::2] = np.sin(Z)
-    if constant:
-        expected = np.hstack([np.ones((rows, 1)), expected])
     assert psi.tobytes() == expected.tobytes()
     if blocks:
         mapped = [features.scalar_feature_matrix(spec, block)
@@ -138,20 +128,18 @@ def test_kernel_consistency_monte_carlo(rng):
 
 def test_feature_bound():
     spec = features.rff_spec(2, 2, D=3, seed=0)
-    assert features.feature_bound(spec) == 1.0
     ident = features.identity_spec(2, 2)
     X = np.array([[0.5, -2.5], [1.0, 2.0]])
+    assert features.feature_bound(spec, X) == 1.0
     assert features.feature_bound(ident, X) == 2.5
-    with pytest.raises(ValueError):
-        features.feature_bound(features.identity_spec(2, 2))
 
 
 def test_spec_round_trip():
-    spec = features.rff_spec(3, 4, D=6, sigma=0.7, seed=9, include_constant=True)
+    spec = features.rff_spec(3, 4, D=6, sigma=0.7, seed=9)
     back = features.spec_from_dict(features.spec_to_dict(spec))
     assert back.kind == spec.kind and back.D == spec.D
     assert back.sigma == spec.sigma and back.seed == spec.seed
-    assert back.include_constant and back.num_classes == 3
+    assert back.num_classes == 3
     x = np.ones(4)
     assert np.array_equal(features.scalar_feature_matrix(back, x)[0],
                           features.scalar_feature_matrix(spec, x)[0])
@@ -168,12 +156,12 @@ def test_score_matrix_under_budget_is_one_product(rng):
 
 @pytest.mark.parametrize("n", [1, 7, 12, 13])
 def test_score_matrix_over_budget_scores_in_blocks(rng, monkeypatch, mapped_rows, n):
-    spec = features.rff_spec(3, 4, D=50, seed=2, include_constant=True)
+    spec = features.rff_spec(3, 4, D=50, seed=2)
     X = rng.normal(size=(n, 4))
     mu = rng.normal(size=features.feature_dim(spec))
     expected = features.scalar_feature_matrix(spec, X) @ mu.reshape(3, -1).T
-    # 4 rows of (101 + 50) features per block: n = 13 ends in a 1-row block
-    monkeypatch.setattr(features, "SCORE_BLOCK_BYTES", 4 * 151 * 8 + 7)
+    # 4 rows of (100 + 50) features per block: n = 13 ends in a 1-row block
+    monkeypatch.setattr(features, "SCORE_BLOCK_BYTES", 4 * 150 * 8 + 7)
     mapped_rows.clear()
     scores = features.score_matrix(spec, X, mu)
     assert mapped_rows == [4] * (n // 4) + ([n % 4] if n % 4 else [])

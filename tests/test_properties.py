@@ -166,12 +166,11 @@ MODEL_FIELDS = [(name,) for name in (
     "lower_bound", "mu_lower", "tau", "lambda", "provenance", "feature_spec",
     "normalization", "instance_anchor", "label_names", "raw_bounds", "solver_info")]
 MODEL_FIELDS += [("feature_spec", name) for name in (
-    "kind", "num_classes", "d", "D", "sigma", "seed", "include_constant",
-    "feature_bound", "rng")]
+    "kind", "num_classes", "d", "D", "sigma", "seed", "rng")]
 MODEL_FIELDS += [("normalization", "mean"), ("normalization", "std"),
                  ("raw_bounds", "upper"), ("raw_bounds", "lower")]
 MODEL_FIELDS += [("provenance", name) for name in (
-    "lambda_mode", "delta", "lambda0", "rademacher_R", "C", "family_size", "n")]
+    "lambda_mode", "delta", "lambda0", "rademacher_R", "C", "n")]
 MODEL_FIELDS += [("solver_info", name) for name in (
     "method", "status", "iterations", "upper_certificate", "lower_certificate",
     "notices")]
@@ -218,17 +217,22 @@ def run_on_model(payload, data, root):
     return results
 
 
-# the model-file defects that once ended these commands in a traceback
+# the model-file defects that once ended these commands in a traceback or
+# a wrong bound in bounds.json
 DEFECTS = [
     (("provenance",), DROP, "bounds", "provenance.C"),
     (("provenance",), "x", "predict", "provenance"),
-    (("provenance", "family_size"), DROP, "bounds", "provenance.family_size"),
+    (("raw_bounds", "upper"), "x", "bounds", "raw_bounds.upper"),
     (("provenance", "n"), "x", "bounds", "provenance.n"),
     (("solver_info",), [1.0], "bounds", "solver_info"),
     (("feature_spec", "seed"), 1.5, "predict", "feature_spec.seed"),
     (("feature_spec", "seed"), "x", "bounds", "feature_spec.seed"),
     (("feature_spec", "d"), None, "predict", "feature_spec.d"),
     (("raw_bounds",), "x", "bounds", "raw_bounds"),
+    (("raw_bounds", "upper"), float("nan"), "bounds", "raw_bounds.upper"),
+    (("minimax_risk",), 7.0, "bounds", "minimax_risk"),
+    (("minimax_risk",), 0.99, "bounds", "minimax_risk"),
+    (("lower_bound",), -3.0, "bounds", "lower_bound"),
 ]
 
 
@@ -263,18 +267,17 @@ def test_malformed_model_file_ends_with_an_exit_code(rff_model, tmp_path_factory
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["rff", "identity"]), include_constant=st.booleans(),
+@given(kind=st.sampled_from(["rff", "identity"]),
        variant=st.sampled_from(["standard", "fixed_marginal"]),
        method=st.sampled_from(["lp", "asm"]), normalize=st.booleans(),
        file_anchor=st.booleans(), lambda_mode=st.sampled_from(["practical", "hoeffding"]),
        seed=st.integers(0, 3))
-def test_model_file_round_trips_byte_for_byte(tmp_path_factory, kind, include_constant,
-                                              variant, method, normalize, file_anchor,
-                                              lambda_mode, seed):
+def test_model_file_round_trips_byte_for_byte(tmp_path_factory, kind, variant, method,
+                                              normalize, file_anchor, lambda_mode, seed):
     if variant == "fixed_marginal":
         method = "asm"  # the LP needs a max over rows
-    spec = (features.rff_spec(2, 2, D=3, seed=seed, include_constant=include_constant)
-            if kind == "rff" else features.identity_spec(2, 2, include_constant))
+    spec = (features.rff_spec(2, 2, D=3, seed=seed) if kind == "rff"
+            else features.identity_spec(2, 2))
     anchor = make_blobs(8, d=2, seed=seed + 10).instances if file_anchor else None
     model = classifier.train(
         make_blobs(20, d=2, seed=seed), spec, lambda_mode=lambda_mode,

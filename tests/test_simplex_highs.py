@@ -143,7 +143,7 @@ def test_ensure_feasible_matches_highs(shift):
     # shift = 0: the pool is the training set, so the set is feasible as is
     ds = exact_lp_training_set(1, 0, n=40)
     spec = features.rff_spec(2, 4, D=6, seed=0)
-    stats, X, spec, unc, psi = classifier.estimate_uncertainty(ds, spec)
+    stats, X, unc, psi = classifier.estimate_uncertainty(ds, spec)
     tau = unc.tau + shift * np.sign(unc.tau)
     tau2, lam2 = estimate.ensure_feasible(tau, unc.lam, psi, 2)
     # lam2 - lam = (d1 + d2) / 2 at the LP optimum
