@@ -34,8 +34,7 @@ EPS_NUM = 1e-12
 class MrcModel:
     mu_star: np.ndarray
     phi_star: float
-    minimax_risk: float                  # upper bound, clamped to [0, 1]
-    lower_bound: float | None            # lower bound, clamped; None if skipped
+    raw_bounds: dict                     # "upper" and, if solved, "lower"; unclamped
     uncertainty: estimate.UncertaintySet
     feature_spec: features.FeatureMapSpec
     normalization: NormalizationStats | None
@@ -43,7 +42,6 @@ class MrcModel:
     label_names: tuple
     variant: str = "standard"            # or "fixed_marginal"
     mu_lower: np.ndarray | None = None   # solution of the lower-bound problem
-    raw_bounds: dict = field(default_factory=dict)
     solver_info: dict = field(default_factory=dict)
     runs: dict = field(default_factory=dict)  # SolverRun of "upper", "lower"; not serialized
     learning_rows: int | None = None     # None if fixed-marginal; not serialized
@@ -51,6 +49,17 @@ class MrcModel:
     @property
     def num_classes(self):
         return self.feature_spec.num_classes
+
+    @property
+    def minimax_risk(self):
+        """The upper bound, clamped to [0, 1]."""
+        return _clamp(self.raw_bounds["upper"])
+
+    @property
+    def lower_bound(self):
+        """The lower bound, clamped to [0, 1]; None if it was not solved."""
+        lower = self.raw_bounds.get("lower")
+        return None if lower is None else _clamp(lower)
 
 
 def _clamp(value):
@@ -190,10 +199,9 @@ def _fit_once(unc, anchor, psi, spec, solver_config, variant, compute_lower,
     model = MrcModel(
         mu_star=run.best_mu,
         phi_star=float(objective.phi_per_instance(scores).max()),
-        minimax_risk=_clamp(run.best_value), lower_bound=None,
+        raw_bounds={"upper": run.best_value},
         uncertainty=unc, feature_spec=spec, normalization=normalization,
         instance_anchor=anchor, label_names=label_names, variant=variant,
-        raw_bounds={"upper": run.best_value},
         solver_info={
             "method": run.method,
             "status": run.status,
@@ -209,7 +217,6 @@ def _fit_once(unc, anchor, psi, spec, solver_config, variant, compute_lower,
             objective.build_upper_bound_problem(unc, psi, h))
         low_run = solve(low_problem, solver_config)
         model.raw_bounds["lower"] = _lower_raw(low_problem, low_run, run.best_value)
-        model.lower_bound = _clamp(model.raw_bounds["lower"])
         model.mu_lower = low_run.best_mu
         model.solver_info["lower_certificate"] = low_run.certificate
         model.runs["lower"] = low_run
@@ -366,7 +373,11 @@ def hoeffding_lambda(model, delta):
     """max(lambda, the Hoeffding width at `delta`): C and n from provenance,
     the family size |F| from the feature map."""
     prov = model.uncertainty.provenance
-    C, n = (_field_number(prov.get(key), f"provenance.{key}") for key in ("C", "n"))
+    C = _field_number(prov.get("C"), "provenance.C")
+    if C <= 0 or (model.feature_spec.kind == features.KIND_RFF and C != 1):
+        raise ValueError("model field 'provenance.C' must be positive, "
+                         "and 1 for random features")
+    n = _field_count(prov.get("n"), "provenance.n", 1)
     width = estimate.lambda_hoeffding(C, features.block_dim(model.feature_spec),
                                       model.num_classes, delta, n)
     return np.maximum(model.uncertainty.lam, width)
@@ -387,11 +398,11 @@ def high_confidence_bounds(model, lambda_delta):
         raise ValueError("lambda_delta must be finite")
     if np.any(lambda_delta < lam - 1e-12):
         raise ValueError("lambda_delta must dominate the training lambda")
-    if model.mu_lower is None or model.lower_bound is None:
+    if model.mu_lower is None or "lower" not in model.raw_bounds:
         raise ValueError("model carries no lower-bound solve")
     gap = lambda_delta - lam
-    return RuleBounds(model.lower_bound - float(gap @ np.abs(model.mu_lower)),
-                      model.minimax_risk + float(gap @ np.abs(model.mu_star)))
+    return RuleBounds(model.raw_bounds["lower"] - float(gap @ np.abs(model.mu_lower)),
+                      model.raw_bounds["upper"] + float(gap @ np.abs(model.mu_star)))
 
 
 def epsilon_s(num_instances, m, num_classes, delta):
@@ -413,8 +424,6 @@ def save_model(model, path):
         "variant": model.variant,
         "mu_star": model.mu_star.tolist(),
         "phi_star": model.phi_star,
-        "minimax_risk": model.minimax_risk,
-        "lower_bound": model.lower_bound,
         "mu_lower": None if model.mu_lower is None else model.mu_lower.tolist(),
         "tau": model.uncertainty.tau.tolist(),
         "lambda": model.uncertainty.lam.tolist(),
@@ -434,9 +443,9 @@ def save_model(model, path):
         fh.write("\n")
 
 
-_MODEL_FIELDS = ("variant", "mu_star", "phi_star", "minimax_risk", "lower_bound",
-                 "mu_lower", "tau", "lambda", "feature_spec", "normalization",
-                 "instance_anchor", "label_names")
+_MODEL_FIELDS = ("variant", "mu_star", "phi_star", "raw_bounds", "mu_lower", "tau",
+                 "lambda", "feature_spec", "normalization", "instance_anchor",
+                 "label_names")
 
 
 def _field_array(value, name, shape):
@@ -460,6 +469,12 @@ def _field_number(value, name):
     return value
 
 
+def _field_count(value, name, least):
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"model field {name!r} must be an integer of at least {least}")
+    return value
+
+
 def _field_spec(value):
     """The feature map of a model file's 'feature_spec' object."""
     if not isinstance(value, dict):
@@ -467,14 +482,14 @@ def _field_spec(value):
     # D and seed are null for the identity map
     for key, least, nullable in (("num_classes", 1, False), ("d", 1, False),
                                  ("D", 1, True), ("seed", 0, True)):
-        count = value.get(key)
-        if count is None and nullable:
-            continue
-        if isinstance(count, bool) or not isinstance(count, int) or count < least:
-            raise ValueError(f"model field 'feature_spec.{key}' must be an "
-                             f"integer of at least {least}")
+        if value.get(key) is not None or not nullable:
+            _field_count(value.get(key), f"feature_spec.{key}", least)
     if value.get("sigma") is not None:
         _field_number(value["sigma"], "feature_spec.sigma")
+    # the frequencies regenerate only from the generator that drew them
+    if value.get("kind") == features.KIND_RFF and \
+            value.get("rng", features.RNG_NAME) != features.RNG_NAME:
+        raise ValueError(f"model field 'feature_spec.rng' must be {features.RNG_NAME!r}")
     # older files carry include_constant; only its false value is still computed
     if value.get("include_constant") not in (None, False):
         raise ValueError("model field 'feature_spec.include_constant' must be "
@@ -485,24 +500,14 @@ def _field_spec(value):
         raise ValueError(f"model field 'feature_spec' is malformed: {exc!r}") from None
 
 
-def _field_bounds(payload):
-    """(minimax_risk, lower_bound, raw_bounds) of a model file: every raw
-    bound is a finite number, and each reported bound lies in [0, 1] and
-    equals its raw bound clamped, when that is present."""
-    raw = payload.get("raw_bounds", {})
-    for key, value in raw.items():
-        _field_number(value, f"raw_bounds.{key}")
-    bounds = []
-    for name, side in (("minimax_risk", "upper"), ("lower_bound", "lower")):
-        value = payload[name]
-        if value is not None or side == "upper":
-            if not 0.0 <= _field_number(value, name) <= 1.0:
-                raise ValueError(f"model field {name!r} must lie in [0, 1]")
-        if side in raw and value != _clamp(raw[side]):
-            raise ValueError(f"model field {name!r} must equal raw_bounds.{side} "
-                             "clamped to [0, 1]")
-        bounds.append(value)
-    return (*bounds, raw)
+def _field_raw_bounds(raw):
+    """A model file's raw bounds: finite numbers, the upper one present and
+    the lower one not above it, as _lower_raw refuses at training."""
+    for key in ("upper", *raw):
+        _field_number(raw.get(key), f"raw_bounds.{key}")
+    if raw.get("lower", -math.inf) > raw["upper"] + FLOOR_TOLERANCE:
+        raise ValueError("model field 'raw_bounds.lower' exceeds raw_bounds.upper")
+    return raw
 
 
 def load_model(path):
@@ -539,11 +544,10 @@ def load_model(path):
         raise ValueError(
             f"model field 'label_names' must list {spec.num_classes} names")
     mu_lower = payload["mu_lower"]
-    minimax_risk, lower_bound, raw_bounds = _field_bounds(payload)
     return MrcModel(
         mu_star=_field_array(payload["mu_star"], "mu_star", (m,)),
         phi_star=_field_number(payload["phi_star"], "phi_star"),
-        minimax_risk=minimax_risk, lower_bound=lower_bound,
+        raw_bounds=_field_raw_bounds(payload["raw_bounds"]),
         uncertainty=estimate.UncertaintySet(
             _field_array(payload["tau"], "tau", (m,)),
             _field_array(payload["lambda"], "lambda", (m,)),
@@ -557,6 +561,5 @@ def load_model(path):
         variant=payload["variant"],
         mu_lower=None if mu_lower is None
         else _field_array(mu_lower, "mu_lower", (m,)),
-        raw_bounds=raw_bounds,
         solver_info=payload.get("solver_info", {}),
     )

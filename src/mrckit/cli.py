@@ -279,7 +279,9 @@ def _run(run):
     return {"method": run.method, "status": run.status,
             "certificate": run.certificate, "best_value": run.best_value,
             "sparsity_gamma": run.sparsity_gamma, "value_drift": run.value_drift,
-            **run.timings}
+            **run.timings, "iterations": run.iterations_done,
+            "us_per_iteration":
+                1e6 * run.timings["loop_seconds"] / max(run.iterations_done, 1)}
 
 
 def _write_trace_csv(path, trace):
@@ -302,7 +304,6 @@ def cmd_train(args):
         anchor=_anchor_from_args(args, data.d),
         variant=args.variant.replace("-", "_"), repair=args.repair,
     )
-    args.solver = model.runs["upper"].method.replace("_", "-")  # the one that ran
     model_path = out_dir / "model.json"
     classifier.save_model(model, model_path)
 
@@ -397,7 +398,6 @@ def cmd_bounds(args):
     report = _report_base(args)
     if args.deterministic:
         det = classifier.deterministic_rule_bounds(model, _solver_config_from_args(args))
-        report["flags"]["solver"] = det.runs["upper"].method.replace("_", "-")
         report["deterministic_rule"] = {
             **_interval(det),
             "runs": {side: _run(run) for side, run in det.runs.items()},

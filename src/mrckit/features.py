@@ -18,8 +18,8 @@ import numpy as np
 KIND_IDENTITY = "one_hot_identity"
 KIND_RFF = "random_fourier"
 
-# Gaussian frequency sampling uses numpy's seeded PCG64 generator; the
-# generator name is recorded in serialized specs for reproducibility.
+# Gaussian frequency sampling uses numpy's seeded PCG64 generator; serialized
+# specs record its name, and a model file naming another is refused.
 RNG_NAME = "numpy-pcg64"
 
 # score_matrix maps and scores X this many bytes of features at a time, so a

@@ -75,14 +75,14 @@ class SolverConfig:
 class SolverRun:
     best_mu: np.ndarray
     best_value: float                  # constant included, minimization sense
-    iterations_done: int
+    iterations_done: int               # simplex pivots for the LP
     method: str
     status: str = "max_iters"          # or "stalled", "stationary", "optimal"
     certificate: str = "subgradient"   # "lp" when the exact path produced it
     trace: list | None = None          # rows (iteration, seconds, best_value, gamma)
     iterates: np.ndarray | None = None
     sparsity_gamma: float | None = None  # sign changes / (iterations x m)
-    timings: dict = field(default_factory=dict)  # see _timings
+    timings: dict = field(default_factory=dict)  # precompute_seconds, loop_seconds
     value_drift: float = 0.0           # recursion's best value minus the exact one
 
 
@@ -364,7 +364,8 @@ def _solve_accelerated(problem, config, method):
         best_mu=best_mu, best_value=best_value, iterations_done=done,
         method=method, status=status, trace=rec.trace,
         iterates=_stack(rec.iterates), sparsity_gamma=flips / (done * m),
-        timings=_timings(precompute, loop_seconds, done), value_drift=drift,
+        timings={"precompute_seconds": precompute, "loop_seconds": loop_seconds},
+        value_drift=drift,
     )
 
 
@@ -413,16 +414,8 @@ def _solve_lp(problem):
         best_mu=mu, best_value=problem.constant + result.value,
         iterations_done=result.pivots, method="lp", status="optimal",
         certificate="lp",
-        timings=_timings(0.0, time.perf_counter() - t0, result.pivots),
+        timings={"precompute_seconds": 0.0, "loop_seconds": time.perf_counter() - t0},
     )
-
-
-def _timings(precompute, loop, iterations):
-    """SolverRun.timings: precompute and loop seconds, iterations (simplex
-    pivots for the LP) and microseconds per iteration."""
-    return {"precompute_seconds": precompute, "loop_seconds": loop,
-            "iterations": iterations,
-            "us_per_iteration": 1e6 * loop / max(iterations, 1)}
 
 
 def _stack(iterates):

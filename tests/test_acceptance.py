@@ -127,7 +127,7 @@ def test_criterion_04_rule_validity():
         mu = rng.normal(size=m) * 10.0 ** rng.integers(-2, 2)
         phi_star = objective.phi(mu, anchor, spec)
         model = classifier.MrcModel(
-            mu_star=mu, phi_star=phi_star, minimax_risk=1.0, lower_bound=0.0,
+            mu_star=mu, phi_star=phi_star, raw_bounds={"upper": 1.0, "lower": 0.0},
             uncertainty=estimate.UncertaintySet(np.zeros(m), np.zeros(m)),
             feature_spec=spec, normalization=None, instance_anchor=anchor,
             label_names=tuple(map(str, range(1, K + 1))))

@@ -24,7 +24,7 @@ def toy_model(mu, phi_star, num_classes, d=1, anchor=None, variant="standard"):
         anchor = np.ones((1, d))
     return MrcModel(
         mu_star=np.asarray(mu, dtype=float), phi_star=phi_star,
-        minimax_risk=0.5, lower_bound=0.0,
+        raw_bounds={"upper": 0.5, "lower": 0.0},
         uncertainty=estimate.UncertaintySet(np.zeros(m), np.zeros(m)),
         feature_spec=spec, normalization=None,
         instance_anchor=np.atleast_2d(anchor),
@@ -274,6 +274,21 @@ def test_high_confidence_bounds():
     assert wider.upper_raw >= widened.upper_raw - 1e-15
     with pytest.raises(ValueError, match="dominate"):
         high_confidence_bounds(model, lam - 1e-3)
+
+
+def test_high_confidence_bounds_widen_the_raw_bounds():
+    # the widening starts from the raw lower bound, not from its clamped 0
+    model = train(make_blobs(30, d=2, seed=8), features.identity_spec(2, 2),
+                  solver_config=LP)
+    model.raw_bounds["lower"] = -0.2
+    assert model.lower_bound == 0.0
+    shift = np.abs(model.mu_lower).sum()
+    assert shift > 0
+    wide = high_confidence_bounds(model, model.uncertainty.lam + 0.1)
+    assert wide.lower_raw == pytest.approx(-0.2 - 0.1 * shift, abs=1e-12)
+    assert wide.upper_raw == pytest.approx(
+        model.raw_bounds["upper"] + 0.1 * np.abs(model.mu_star).sum(), abs=1e-12)
+    assert wide.lower == 0.0
 
 
 @pytest.mark.parametrize("width", [math.nan, math.inf])

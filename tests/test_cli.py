@@ -182,10 +182,10 @@ def test_every_solve_reports_the_same_fields(blob_csv, tmp_path):
         list(range(0, report["runs"]["upper"]["iterations"] + 1, 100))
     for run in methods.values():
         assert trace_iterations(run["trace"]) == list(range(run["iterations"] + 1))
-    # flags.solver names the method that ran
-    assert report["flags"]["solver"] == "easm-restart"
+    # flags.solver records what was passed, runs.<side>.method what ran
+    assert report["flags"]["solver"] is None
     assert report["runs"]["upper"]["method"] == "easm_restart"
-    assert det["flags"]["solver"] == "lp"
+    assert det["flags"]["solver"] is None
 
 
 def test_studies_leave_the_default_method_to_the_library(blob_csv, tmp_path):
@@ -650,19 +650,25 @@ def test_malformed_model_file_exit_1(blob_csv, tmp_path, capsys, edit, field):
 
 def test_model_file_of_the_previous_format_gives_the_same_outputs(blob_csv, tmp_path,
                                                                   capsys):
-    # files that still carry feature_spec.include_constant and feature_bound
-    # and provenance.family_size load, and those keys are ignored
+    # files that still carry feature_spec.include_constant and feature_bound,
+    # provenance.family_size, and the clamped bounds minimax_risk and
+    # lower_bound load, and those keys are ignored
     out = tmp_path / "out"
     run_cli(*train_args(blob_csv, str(out)))
     payload = json.loads((out / "model.json").read_text())
     assert not {"include_constant", "feature_bound"} & payload["feature_spec"].keys()
     assert "family_size" not in payload["provenance"]
+    assert not {"minimax_risk", "lower_bound"} & payload.keys()
     old = json.loads((out / "model.json").read_text())
     old["feature_spec"].update(include_constant=False,
                                feature_bound=payload["provenance"]["C"])
     old["provenance"]["family_size"] = payload["feature_spec"]["d"]
+    raw = payload["raw_bounds"]
+    old.update(minimax_risk=min(1.0, max(0.0, raw["upper"])),
+               lower_bound=min(1.0, max(0.0, raw["lower"])))
+    mismatched = dict(old, minimax_risk=7.0)
     outputs = []
-    for name, model in (("new", payload), ("old", old)):
+    for name, model in (("new", payload), ("old", old), ("mismatched", mismatched)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(model))
         assert run_cli("predict", "--model", str(path), "--data", blob_csv, "--proba",
@@ -672,7 +678,7 @@ def test_model_file_of_the_previous_format_gives_the_same_outputs(blob_csv, tmp_
         report = json.loads((tmp_path / name / "bounds.json").read_text())
         outputs.append(((tmp_path / name / "predictions.csv").read_bytes(),
                         report["high_confidence"]))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     # a constant feature is no longer computed, so a file that asks for one
     # is refused
     old["feature_spec"]["include_constant"] = True
@@ -721,15 +727,17 @@ def test_bounds_default_solver_follows_problem_size(blob_csv, tmp_path):
     assert run_cli("train", "--data", blob_csv, "--out", str(rff),
                    "--max-iters", "200") == 0
     assert run_cli(*train_args(blob_csv, str(ident))) == 0
-    for model_dir, solver, certificate in ((rff, "easm-restart", "subgradient"),
+    for model_dir, solver, certificate in ((rff, "easm_restart", "subgradient"),
                                            (ident, "lp", "lp")):
         out = model_dir / "bounds"
         code = run_cli("bounds", "--model", str(model_dir / "model.json"),
                        "--out", str(out), "--deterministic", "--max-iters", "200")
         assert code == 0
         rep = json.loads((out / "bounds.json").read_text())
-        assert rep["flags"]["solver"] == solver
-        assert [rep["deterministic_rule"]["runs"][side]["certificate"]
+        assert rep["flags"]["solver"] is None
+        runs = rep["deterministic_rule"]["runs"]
+        assert [runs[side]["method"] for side in ("lower", "upper")] == [solver] * 2
+        assert [runs[side]["certificate"]
                 for side in ("lower", "upper")] == [certificate] * 2
 
 
@@ -936,7 +944,7 @@ def test_train_fixed_marginal_variant(blob_csv, tmp_path):
     assert code == 0
     model = json.loads((tmp_path / "fm" / "model.json").read_text())
     assert model["variant"] == "fixed_marginal"
-    assert model["lower_bound"] is None
+    assert "lower" not in model["raw_bounds"]
     # the structured solvers reject the matrix-free objective
     code = run_cli("train", "--data", blob_csv, "--out", str(tmp_path / "fm2"),
                    "--features", "identity", "--solver", "easm",

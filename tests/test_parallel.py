@@ -334,11 +334,12 @@ def test_train_fixed_marginal_defaults_to_asm(blob_csv, tmp_path):
                  "--seed", "1"])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["flags"]["solver"] == "asm"
+    assert report["flags"]["solver"] is None  # what was passed
     assert report["runs"]["upper"]["method"] == "asm"
     # the standard variant keeps E-ASM with restarts
     code = main(["train", "--data", blob_csv, "--out", str(tmp_path / "std"),
                  "--features", "identity", "--max-iters", "200", "--seed", "1"])
     assert code == 0
     report = json.loads((tmp_path / "std" / "report.json").read_text())
-    assert report["flags"]["solver"] == "easm-restart"
+    assert report["flags"]["solver"] is None
+    assert report["runs"]["upper"]["method"] == "easm_restart"

@@ -162,9 +162,9 @@ def rff_model(tmp_path_factory):
 
 # every field of model.json, and every field of its object-valued fields
 MODEL_FIELDS = [(name,) for name in (
-    "format_version", "variant", "mu_star", "phi_star", "minimax_risk",
-    "lower_bound", "mu_lower", "tau", "lambda", "provenance", "feature_spec",
-    "normalization", "instance_anchor", "label_names", "raw_bounds", "solver_info")]
+    "format_version", "variant", "mu_star", "phi_star", "mu_lower", "tau", "lambda",
+    "provenance", "feature_spec", "normalization", "instance_anchor", "label_names",
+    "raw_bounds", "solver_info")]
 MODEL_FIELDS += [("feature_spec", name) for name in (
     "kind", "num_classes", "d", "D", "sigma", "seed", "rng")]
 MODEL_FIELDS += [("normalization", "mean"), ("normalization", "std"),
@@ -230,9 +230,15 @@ DEFECTS = [
     (("feature_spec", "d"), None, "predict", "feature_spec.d"),
     (("raw_bounds",), "x", "bounds", "raw_bounds"),
     (("raw_bounds", "upper"), float("nan"), "bounds", "raw_bounds.upper"),
-    (("minimax_risk",), 7.0, "bounds", "minimax_risk"),
-    (("minimax_risk",), 0.99, "bounds", "minimax_risk"),
-    (("lower_bound",), -3.0, "bounds", "lower_bound"),
+    (("raw_bounds", "upper"), DROP, "bounds", "raw_bounds.upper"),
+    (("raw_bounds", "lower"), 5.0, "bounds", "raw_bounds.lower"),
+    # a C or n off what training recorded widens the interval wrongly
+    (("provenance", "C"), 1e-9, "bounds", "provenance.C"),
+    (("provenance", "C"), 0, "bounds", "provenance.C"),
+    (("provenance", "n"), 1e9, "bounds", "provenance.n"),
+    (("provenance", "n"), 2.5, "bounds", "provenance.n"),
+    (("provenance", "n"), 0, "bounds", "provenance.n"),
+    (("feature_spec", "rng"), "mt19937", "predict", "feature_spec.rng"),
 ]
 
 
@@ -306,8 +312,8 @@ def test_rule_is_valid_on_random_instances(kind, variant, classes, scale, tie, s
     anchor = rng.normal(size=(10, 2))
     m = mu.size
     model = classifier.MrcModel(
-        mu_star=mu, phi_star=objective.phi(mu, anchor, spec), minimax_risk=1.0,
-        lower_bound=None, uncertainty=estimate.UncertaintySet(np.zeros(m), np.zeros(m)),
+        mu_star=mu, phi_star=objective.phi(mu, anchor, spec), raw_bounds={"upper": 1.0},
+        uncertainty=estimate.UncertaintySet(np.zeros(m), np.zeros(m)),
         feature_spec=spec, normalization=None, instance_anchor=anchor,
         label_names=tuple("abcd"[:classes]), variant=variant)
     X = rng.normal(size=(30, 2)) * 3.0
